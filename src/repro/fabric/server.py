@@ -175,6 +175,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: set by :func:`make_fabric_server`.
     service = None
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: the headers and the body go out in separate sends,
+    #: and on a kept-alive connection Nagle's algorithm would hold the
+    #: body until the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     def _body(self):
         length = int(self.headers.get("Content-Length") or 0)

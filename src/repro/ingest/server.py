@@ -373,6 +373,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: set by :func:`make_server`.
     service = None
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: the headers and the body go out in separate sends,
+    #: and on a kept-alive connection Nagle's algorithm would hold the
+    #: body until the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     def do_GET(self):  # noqa: N802 (http.server API)
         parsed = urlparse(self.path)

@@ -737,6 +737,9 @@ class WorldGenerator:
         common = [s for s in reachable
                   if s.audience == "common" and not s.sdk_stack]
         apps = [s for s in reachable if s.audience == "apps"]
+        common_per_sld = {}
+        for spec in common:
+            common_per_sld[spec.sld] = common_per_sld.get(spec.sld, 0) + 1
         by_category, by_vendor = {}, {}
         for spec in reachable:
             if spec.audience.startswith("category:"):
@@ -751,7 +754,8 @@ class WorldGenerator:
             rng = stable_rng(self.seed, "traffic", device.device_id)
             profile = profile_by_name[device.vendor]
             destinations = self._pick_destinations(
-                device, profile, rng, common, by_category, by_vendor, apps)
+                device, profile, rng, common, common_per_sld, by_category,
+                by_vendor, apps)
             routed_keys = set(device.routing.values())
             plain_keys = [k for k in device.stacks
                           if k not in routed_keys and k != "legacy"]
@@ -793,8 +797,8 @@ class WorldGenerator:
         records.sort(key=lambda r: (r.timestamp, r.device_id))
         world.records = records
 
-    def _pick_destinations(self, device, profile, rng, common, by_category,
-                           by_vendor, apps):
+    def _pick_destinations(self, device, profile, rng, common,
+                           common_per_sld, by_category, by_vendor, apps):
         destinations = []
         own = by_vendor.get(profile.name, [])
         if own and (profile.exclusive_ca or rng.random() < 0.35):
@@ -809,7 +813,7 @@ class WorldGenerator:
             k = min(len(routed), rng.randint(2, 3))
             destinations.extend(rng.sample(routed, k))
         for spec in common:
-            per_sld = max(1, sum(1 for s in common if s.sld == spec.sld))
+            per_sld = common_per_sld[spec.sld]
             p = _COMMON_VISIT_P.get(spec.sld, _DEFAULT_COMMON_P)
             if rng.random() < (p / per_sld) * 1.1:
                 destinations.append(spec.fqdn)

@@ -113,11 +113,12 @@ class ProbeResult:
 class Prober:
     """Probes a :class:`~repro.probing.network.SimulatedNetwork`.
 
-    Stateless between probes: every :meth:`probe_one` builds a fresh
-    :class:`~repro.tlslib.handshake.TLSClient`, so a prober instance can
-    be shared only as a convenience — engine workers each construct their
-    own (see :class:`repro.probing.engine.ProbeEngine`), and nothing is
-    shared across vantages either way.
+    Every :meth:`probe_one` builds a fresh
+    :class:`~repro.tlslib.handshake.TLSClient`; the only state kept
+    between probes is a DER → :class:`Certificate` memo, so a chain a
+    server presents to many SNIs and vantages is decoded once.  The
+    memo is not locked, so engine workers each construct their own
+    prober (see :class:`repro.probing.engine.ProbeEngine`).
     """
 
     def __init__(self, network, vantages=VANTAGE_POINTS, config=None):
@@ -125,6 +126,15 @@ class Prober:
             vantages = config.vantages
         self.network = network
         self.vantages = tuple(vantages)
+        self._parsed = {}
+
+    def _certificate(self, der):
+        """The decoded certificate for ``der``; equal bytes share one
+        (frozen) instance."""
+        certificate = self._parsed.get(der)
+        if certificate is None:
+            certificate = self._parsed[der] = Certificate.from_der(der)
+        return certificate
 
     def _hello(self, sni):
         return ClientHello(version=TLSVersion.TLS_1_2,
@@ -146,7 +156,7 @@ class Prober:
         except TLSError as exc:
             return ProbeResult(fqdn=fqdn, vantage=vantage.name,
                                reachable=True, error=str(exc))
-        chain = [Certificate.from_der(der) for der in result.chain_der]
+        chain = [self._certificate(der) for der in result.chain_der]
         return ProbeResult(
             fqdn=fqdn, vantage=vantage.name, reachable=True, chain=chain,
             negotiated_version=result.negotiated_version,

@@ -19,6 +19,9 @@ from repro.tlslib.versions import TLSVersion
 
 _HANDSHAKE_CLIENT_HELLO = 0x01
 
+#: An extension header: 2-byte type, 2-byte body length.
+_EXT_HEADER = struct.Struct(">HH")
+
 
 def _encode_vector(payload, length_bytes):
     """Encode an opaque vector with an N-byte length prefix."""
@@ -121,7 +124,7 @@ class ClientHello:
         body = struct.pack(">H", int(self.version))
         body += self.random
         body += _encode_vector(self.session_id, 1)
-        suites = b"".join(struct.pack(">H", code) for code in self.ciphersuites)
+        suites = struct.pack(f">{len(self.ciphersuites)}H", *self.ciphersuites)
         body += _encode_vector(suites, 2)
         body += _encode_vector(b"\x00", 1)  # compression: null only
         if self.extensions:
@@ -148,22 +151,27 @@ class ClientHello:
         suite_blob = body.vector(2)
         if len(suite_blob) % 2:
             raise TLSParseError("odd ciphersuite vector length")
-        suites = [
-            int.from_bytes(suite_blob[i:i + 2], "big")
-            for i in range(0, len(suite_blob), 2)
-        ]
+        suites = list(struct.unpack(f">{len(suite_blob) // 2}H", suite_blob))
         compression = body.vector(1)
         if b"\x00" not in compression:
             raise TLSParseError("client offers no null compression")
         extensions, sni = [], None
         if body.remaining:
-            ext_blob = _Reader(body.vector(2))
-            while ext_blob.remaining:
-                ext_type = ext_blob.uint(2)
-                ext_body = ext_blob.vector(2)
+            ext_blob = body.vector(2)
+            pos, end = 0, len(ext_blob)
+            while pos < end:
+                if end - pos < _EXT_HEADER.size:
+                    raise TLSParseError("truncated extension header")
+                ext_type, ext_len = _EXT_HEADER.unpack_from(ext_blob, pos)
+                pos += _EXT_HEADER.size
+                if ext_len > end - pos:
+                    raise TLSParseError(
+                        f"truncated extension body: wanted {ext_len} "
+                        f"bytes, have {end - pos}")
                 extensions.append(ext_type)
-                if ext_type == ExtensionType.SERVER_NAME and ext_body:
-                    sni = cls._parse_sni(ext_body)
+                if ext_type == ExtensionType.SERVER_NAME and ext_len:
+                    sni = cls._parse_sni(ext_blob[pos:pos + ext_len])
+                pos += ext_len
         return cls(version=version, ciphersuites=suites, extensions=extensions,
                    sni=sni, random=random, session_id=session_id)
 

@@ -12,6 +12,7 @@ producing surprises.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.x509.errors import DERDecodeError
 
@@ -175,7 +176,10 @@ def encode_bit_string(data):
     return encode_tlv(Tag.BIT_STRING, b"\x00" + bytes(data))
 
 
+@lru_cache(maxsize=256)
 def encode_oid(dotted):
+    """DER for a dotted OID; a few constant OIDs recur in every
+    certificate, so each is encoded once per process."""
     arcs = [int(part) for part in dotted.split(".")]
     if len(arcs) < 2 or arcs[0] > 2 or (arcs[0] < 2 and arcs[1] >= 40):
         raise ValueError(f"invalid OID: {dotted!r}")

@@ -10,6 +10,7 @@ performs actual cryptographic verification.
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.x509 import asn1
 from repro.x509.errors import DERDecodeError, SignatureError
@@ -27,6 +28,7 @@ OID_SUBJECT_ALT_NAME = "2.5.29.17"
 _SECONDS_PER_DAY = 86400
 
 
+@lru_cache(maxsize=None)
 def _algorithm_identifier(oid):
     return asn1.encode_sequence(asn1.encode_oid(oid), asn1.encode_null())
 

@@ -57,12 +57,16 @@ class CTLog:
 
     def submit(self, certificate, timestamp=0):
         """Append a certificate (idempotent per fingerprint); return an SCT."""
-        fingerprint = certificate.fingerprint()
+        return self.submit_der(certificate.to_der(), timestamp)
+
+    def submit_der(self, der, timestamp=0):
+        """:meth:`submit` for a certificate already encoded as ``der``."""
+        fingerprint = hashlib.sha256(der).hexdigest()
         existing = self._index_by_fingerprint.get(fingerprint)
         if existing is not None:
             return SignedCertificateTimestamp(self.log_id, existing, timestamp)
         index = len(self._entries)
-        self._entries.append(certificate.to_der())
+        self._entries.append(der)
         self._index_by_fingerprint[fingerprint] = index
         return SignedCertificateTimestamp(self.log_id, index, timestamp)
 
@@ -142,7 +146,8 @@ class CTLogSet:
 
     def submit(self, certificate, timestamp=0):
         """Submit to every log (as CAs do to satisfy SCT-count policies)."""
-        return [log.submit(certificate, timestamp) for log in self.logs]
+        der = certificate.to_der()
+        return [log.submit_der(der, timestamp) for log in self.logs]
 
     def query(self, certificate):
         """True when any log contains the certificate."""

@@ -12,7 +12,8 @@ world is fully reproducible.
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.x509.errors import SignatureError
 
@@ -103,16 +104,30 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAKeyPair:
-    """An RSA keypair; the private exponent stays inside this object."""
+    """An RSA keypair; the private exponent stays inside this object.
+
+    ``crt`` holds ``(p, q, dp, dq, qinv)`` so :meth:`sign` can use the
+    Chinese Remainder Theorem; the signature is the same ``m^d mod n``.
+    It takes no part in equality, and a keypair without it (built by
+    hand, or unpickled from before the field existed) signs with the
+    plain modular exponentiation.
+    """
 
     public: RSAPublicKey
     d: int
+    crt: tuple = field(default=None, compare=False, repr=False)
 
     def sign(self, message):
         """Sign SHA-256(message) with deterministic PKCS#1 v1.5 padding."""
         padded = _pad_digest(message, self.public.byte_length)
         value = int.from_bytes(padded, "big")
-        signature = pow(value, self.d, self.public.n)
+        if self.crt is None:
+            signature = pow(value, self.d, self.public.n)
+        else:
+            p, q, dp, dq, qinv = self.crt
+            s_p = pow(value, dp, p)
+            s_q = pow(value, dq, q)
+            signature = s_q + (qinv * (s_p - s_q) % p) * q
         return signature.to_bytes(self.public.byte_length, "big")
 
 
@@ -137,14 +152,25 @@ class KeyPool:
     """
 
     def __init__(self, size=48, bits=512, rng=None):
-        rng = rng or random.Random(0xC0FFEE)
-        self._keys = [generate_keypair(bits, rng=rng) for _ in range(size)]
+        if rng is None:
+            self._keys = _default_pool_keys(size, bits)
+        else:
+            self._keys = tuple(
+                generate_keypair(bits, rng=rng) for _ in range(size))
         self._next = 0
 
     def take(self):
         key = self._keys[self._next % len(self._keys)]
         self._next += 1
         return key
+
+
+@lru_cache(maxsize=None)
+def _default_pool_keys(size, bits):
+    """The fixed-seed pool keys, generated once per process: every pool
+    built without an ``rng`` draws the same keys from the same seed."""
+    rng = random.Random(0xC0FFEE)
+    return tuple(generate_keypair(bits, rng=rng) for _ in range(size))
 
 
 def generate_keypair(bits=512, rng=None, e=65537):
@@ -173,4 +199,5 @@ def generate_keypair(bits=512, rng=None, e=65537):
         if phi % e == 0:
             continue
         d = pow(e, -1, phi)
-        return RSAKeyPair(public=RSAPublicKey(n=n, e=e), d=d)
+        crt = (p, q, d % (p - 1), d % (q - 1), pow(q, -1, p))
+        return RSAKeyPair(public=RSAPublicKey(n=n, e=e), d=d, crt=crt)

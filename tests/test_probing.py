@@ -147,6 +147,22 @@ class TestProber:
         leaves = certificates.leaf_certificates()
         assert 700 <= len(leaves) <= 900
 
+    def test_memo_returns_equal_certificates_for_shared_cert(
+            self, study, network):
+        groups = {}
+        for spec in study.world.reachable_servers():
+            if spec.share and not spec.geo_variant:
+                groups.setdefault(spec.share, []).append(spec.fqdn)
+        fqdns = next(f for f in groups.values() if len(f) > 1)
+        prober = Prober(network)
+        first, second = (prober.probe_one(fqdn, VANTAGE_POINTS[0])
+                         for fqdn in fqdns[:2])
+        assert first.leaf.to_der() == second.leaf.to_der()
+        assert first.leaf is second.leaf
+        fresh = Prober(network).probe_one(fqdns[1], VANTAGE_POINTS[0])
+        assert fresh.chain == second.chain
+        assert fresh.signature_bytes() == second.signature_bytes()
+
     def test_chain_parsed_from_wire(self, study, certificates):
         # Every returned certificate went through DER bytes.
         result = certificates.result(

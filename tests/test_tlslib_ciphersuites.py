@@ -115,6 +115,21 @@ class TestSecurityClassification:
         suite = suite_by_name("TLS_RSA_WITH_3DES_EDE_CBC_SHA")
         assert suite.vulnerable_components() == ["3DES"]
 
+    def test_vulnerable_components_returns_fresh_list(self):
+        suite = suite_by_name("TLS_RSA_EXPORT_WITH_RC2_CBC_40_MD5")
+        first = suite.vulnerable_components()
+        first.append("POISON")
+        first.sort(reverse=True)
+        second = suite.vulnerable_components()
+        assert second == ["EXPORT", "RC2"]
+        assert second is not suite.vulnerable_components()
+
+    def test_clean_suite_memo_cannot_be_poisoned(self):
+        suite = suite_by_name("TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256")
+        suite.vulnerable_components().append("RC4")
+        assert suite.vulnerable_components() == []
+        assert suite.security_level == SecurityLevel.OPTIMAL
+
 
 class TestSignalingAndUnknown:
     def test_scsvs_are_signaling(self):

@@ -1,11 +1,13 @@
 """Unit tests for RSA keys and signatures."""
 
+import pickle
 import random
 
 import pytest
 
 from repro.x509.errors import SignatureError
-from repro.x509.keys import KeyPool, RSAPublicKey, generate_keypair
+from repro.x509.keys import (
+    KeyPool, RSAKeyPair, RSAPublicKey, _pad_digest, generate_keypair)
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +91,59 @@ class TestKeyPool:
         first = pool.take()
         pool.take()
         assert pool.take().public.n == first.public.n
+
+    def test_default_pool_keys_shared_across_instances(self):
+        pool_a, pool_b = KeyPool(), KeyPool()
+        assert isinstance(pool_a._keys, tuple)
+        assert pool_a._keys is pool_b._keys
+
+    def test_default_pool_take_state_is_per_instance(self):
+        pool_a, pool_b = KeyPool(), KeyPool()
+        first = pool_a.take()
+        pool_a.take()
+        assert pool_b.take() is first
+
+    def test_default_pool_matches_fixed_seed(self):
+        rng = random.Random(0xC0FFEE)
+        expected = [generate_keypair(512, rng=rng) for _ in range(2)]
+        pool = KeyPool()
+        assert [pool.take(), pool.take()] == expected
+
+
+class TestCRTSigning:
+    @pytest.mark.parametrize("seed", [1, 7, 42, 2023])
+    def test_crt_signature_equals_plain_exponentiation(self, seed):
+        key = generate_keypair(512, rng=random.Random(seed))
+        assert key.crt is not None
+        for i in range(8):
+            message = b"message %d" % i
+            padded = int.from_bytes(
+                _pad_digest(message, key.public.byte_length), "big")
+            expected = pow(padded, key.d, key.public.n)
+            assert int.from_bytes(key.sign(message), "big") == expected
+
+    def test_crt_field_is_consistent(self, keypair):
+        p, q, dp, dq, qinv = keypair.crt
+        assert p * q == keypair.public.n
+        assert dp == keypair.d % (p - 1) and dq == keypair.d % (q - 1)
+        assert qinv * q % p == 1
+
+    def test_crt_less_keypair_signs_and_verifies(self, keypair):
+        plain = RSAKeyPair(public=keypair.public, d=keypair.d)
+        assert plain.crt is None
+        signature = plain.sign(b"legacy")
+        keypair.public.verify(b"legacy", signature)
+        assert signature == keypair.sign(b"legacy")
+
+    def test_crt_takes_no_part_in_equality_or_repr(self, keypair):
+        plain = RSAKeyPair(public=keypair.public, d=keypair.d)
+        assert plain == keypair
+        assert repr(plain) == repr(keypair)
+
+    def test_pickle_without_crt_field_still_signs(self, keypair):
+        # A keypair pickled before the field existed restores with no
+        # ``crt`` in its state; the class default takes over.
+        restored = pickle.loads(pickle.dumps(keypair))
+        del restored.__dict__["crt"]
+        assert restored.crt is None
+        restored.public.verify(b"old", restored.sign(b"old"))
