@@ -14,13 +14,14 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ perfbench/
 
 # Lightweight lint: everything must byte-compile, and `print(` is banned
 # in src/repro outside the CLI (library code reports via repro.obs) and
 # in benchmarks/ helper modules (bench_*.py scripts may still print).
 lint:
-	$(PYTHON) -m compileall -q src/repro tests benchmarks examples tools
+	$(PYTHON) -m compileall -q src/repro tests benchmarks examples tools \
+	    perfbench
 	@bad=$$(grep -rn --include='*.py' '^[[:space:]]*print(' src/repro \
 	    | grep -v '^src/repro/cli\.py:' || true); \
 	if [ -n "$$bad" ]; then \
@@ -31,16 +32,6 @@ lint:
 	    | grep -v '^benchmarks/bench_' || true); \
 	if [ -n "$$bad" ]; then \
 	    echo "lint: bare print() in benchmarks/ helper modules:"; \
-	    echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rn --include='*.py' \
-	    -e 'sharing import.*jaccard' -e 'sharing\.jaccard' \
-	    src/repro benchmarks examples \
-	    | grep -v '^src/repro/core/sharing\.py:' \
-	    | grep -v '^src/repro/match/' || true); \
-	if [ -n "$$bad" ]; then \
-	    echo "lint: deprecated sharing.jaccard used outside"; \
-	    echo "      repro.match (use repro.match.set_jaccard):"; \
 	    echo "$$bad"; exit 1; \
 	fi
 	@echo "lint: ok"

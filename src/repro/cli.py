@@ -78,6 +78,10 @@ Observability (``repro.obs``) is active for every command: add
 ``<artifact>.manifest.json`` (seed, config digest, version, stage
 timings, metric snapshot, cache traffic) next to every file a command
 writes.
+
+Errors: a command that cannot run (a bad flag value, a missing input
+file, an unreachable server) prints one line, ``<command path>:
+<message>``, to stderr and exits 2; a check that ran and failed exits 1.
 """
 
 import argparse
@@ -89,6 +93,8 @@ import time
 from repro import obs
 from repro.config import MAJOR_STORES
 from repro.obs.manifest import RunManifest, manifest_path_for
+from repro.obs.scrape import ScrapeError
+from repro.store import StoreUnreachable
 from repro.study import DEFAULT_SEED, StudyConfig, get_study
 
 #: cache directory used when --cache-dir is absent ($REPRO_CACHE_DIR
@@ -106,37 +112,52 @@ DEFAULT_ML_MODEL = "ml_model.json"
 DEFAULT_ML_REPORT = "ml_eval.json"
 
 
+class CommandError(Exception):
+    """A command cannot run; ``main`` prints the message and exits 2."""
+
+
+#: exception types that mean "bad input, not a bug": ``_dispatch``
+#: turns each into one stderr line and exit 2 (anything else keeps its
+#: traceback).  ``OSError`` covers ``ConnectionError`` and missing
+#: files, ``ValueError`` covers ``JSONDecodeError``.
+_USAGE_ERRORS = (CommandError, ValueError, OSError, ScrapeError,
+                StoreUnreachable)
+
+
 def _add_config(parser):
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="world seed (default %(default)s)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for probing and analysis "
-                             "(default %(default)s; output is identical "
-                             "for any value)")
-    parser.add_argument("--retries", type=int, default=3,
-                        help="attempt budget per probe "
-                             "(default %(default)s)")
-    parser.add_argument("--trust-stores", metavar="NAMES",
-                        default=",".join(MAJOR_STORES),
-                        help="comma-separated major stores the validator "
-                             "unions (default %(default)s)")
+    group = parser.add_argument_group("study config")
+    group.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="world seed (default %(default)s)")
+    group.add_argument("--jobs", type=int, default=1,
+                       help="worker threads for probing and analysis "
+                            "(default %(default)s; output is identical "
+                            "for any value)")
+    group.add_argument("--retries", type=int, default=3,
+                       help="attempt budget per probe "
+                            "(default %(default)s)")
+    group.add_argument("--trust-stores", metavar="NAMES",
+                       default=",".join(MAJOR_STORES),
+                       help="comma-separated major stores the validator "
+                            "unions (default %(default)s)")
 
 
 def _add_cache(parser):
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="artifact store directory (default "
-                             f"${ENV_CACHE_DIR}; caching is off when "
-                             "neither is set)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the artifact store entirely")
+    group = parser.add_argument_group("artifact cache")
+    group.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="artifact store directory (default "
+                            f"${ENV_CACHE_DIR}; caching is off when "
+                            "neither is set)")
+    group.add_argument("--no-cache", action="store_true",
+                       help="bypass the artifact store entirely")
 
 
 def _add_obs(parser):
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write tracing spans, metric snapshot, and "
-                             "run manifest as JSONL events to PATH")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the metric table after the command")
+    group = parser.add_argument_group("observability")
+    group.add_argument("--trace", metavar="PATH", default=None,
+                       help="write tracing spans, metric snapshot, and "
+                            "run manifest as JSONL events to PATH")
+    group.add_argument("--metrics", action="store_true",
+                       help="print the metric table after the command")
 
 
 def config_from_args(args):
@@ -150,21 +171,25 @@ def config_from_args(args):
                        trust_stores=stores)
 
 
+def _cache_root(args):
+    """The artifact-store root the flags select, or ``None`` (off)."""
+    if getattr(args, "no_cache", False):
+        return None
+    return getattr(args, "cache_dir", None) or \
+        os.environ.get(ENV_CACHE_DIR)
+
+
 def store_from_args(args):
     """The artifact store the flags select, or ``None`` (caching off)."""
     from repro.store import ArtifactStore
-    if getattr(args, "no_cache", False):
-        return None
-    root = getattr(args, "cache_dir", None) or \
-        os.environ.get(ENV_CACHE_DIR)
+    root = _cache_root(args)
     return ArtifactStore(root) if root else None
 
 
 def _study_from_args(args):
     """Build config + store + memoized study; records both on ``args``.
 
-    Raises ``ValueError`` on an invalid flag combination; study commands
-    catch it and exit 2.
+    Raises ``ValueError`` on an invalid flag combination.
     """
     config = config_from_args(args)
     args.config = config
@@ -172,20 +197,9 @@ def _study_from_args(args):
     return get_study(config).attach_store(args.store)
 
 
-def _study_or_status(args):
-    try:
-        return _study_from_args(args), 0
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return None, 2
-
-
 def cmd_generate(args):
     from repro.inspector.io import save_records
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    dataset = study.dataset
+    dataset = _study_from_args(args).dataset
     with obs.span("cli.write_output"):
         save_records(dataset.records, args.output)
     args.artifacts.append(args.output)
@@ -196,9 +210,7 @@ def cmd_generate(args):
 
 
 def cmd_probe(args):
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     certificates = study.certificates
     rows = certificates.to_json_rows(ct_logs=study.network.ct_logs)
     with obs.span("cli.write_output"):
@@ -217,10 +229,7 @@ def cmd_probe(args):
 def cmd_report(args):
     from repro.core.pipeline import run_full_study
     from repro.core.report import render_report
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    results = run_full_study(study, jobs=args.jobs)
+    results = run_full_study(_study_from_args(args), jobs=args.jobs)
     with obs.span("cli.render_report"):
         text = render_report(results, seed=args.seed)
     if args.output == "-":
@@ -238,15 +247,12 @@ def cmd_audit(args):
     from repro.core.issuers import issuer_report
     from repro.core.matching import validate_case_study
     from repro.core.tables import percent
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     dataset = study.dataset
     vendor = args.vendor
     if vendor not in dataset.vendor_names():
-        print(f"unknown vendor {vendor!r}; known vendors:",
-              ", ".join(dataset.vendor_names()), file=sys.stderr)
-        return 2
+        raise CommandError(f"unknown vendor {vendor!r}; known vendors: "
+                           + ", ".join(dataset.vendor_names()))
     print(f"== {vendor} ==")
     print(f"devices: {len(dataset.devices_of_vendor(vendor))}")
     print(f"fingerprints: {len(dataset.vendor_fingerprints(vendor))} "
@@ -269,9 +275,7 @@ def cmd_audit(args):
 def cmd_whatif(args):
     from repro.core import whatif
     from repro.core.tables import percent
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     if args.experiment in ("acme", "all"):
         with obs.span("analysis.whatif.acme"):
             result = whatif.acme_adoption(study)
@@ -299,9 +303,7 @@ def cmd_whatif(args):
 
 def cmd_figures(args):
     from repro.core.figures import export_all
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     with obs.span("cli.write_output"):
         written = export_all(study, args.output)
     args.artifacts.append(args.output)
@@ -310,20 +312,15 @@ def cmd_figures(args):
 
 
 def _cache_store(args):
-    from repro.store import ArtifactStore
-    root = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if not root:
-        print(f"cache: no cache directory (pass --cache-dir or set "
-              f"${ENV_CACHE_DIR})", file=sys.stderr)
-        return None
-    return ArtifactStore(root)
+    store = store_from_args(args)
+    if store is None:
+        raise CommandError(f"no cache directory (pass --cache-dir or set "
+                           f"${ENV_CACHE_DIR})")
+    return store
 
 
 def cmd_cache_stats(args):
-    store = _cache_store(args)
-    if store is None:
-        return 2
-    stats = store.stats()
+    stats = _cache_store(args).stats()
     print(f"cache {stats['dir']} (current version "
           f"{stats['version']}): {stats['entries']} entries, "
           f"{stats['bytes'] / 1e6:.1f} MB")
@@ -337,8 +334,6 @@ def cmd_cache_stats(args):
 
 def cmd_cache_clear(args):
     store = _cache_store(args)
-    if store is None:
-        return 2
     removed = store.clear()
     print(f"removed {removed} entries from {store.root}")
     return 0
@@ -355,14 +350,11 @@ def _write_verify_report(args, payload):
 
 
 def cmd_serve(args):
+    import threading
     from repro.ingest import run_load, serve_study
     from repro.inspector.timeline import days
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    import threading
     server, service = serve_study(
-        study, host=args.host, port=args.port,
+        _study_from_args(args), host=args.host, port=args.port,
         window_seconds=days(args.window_days), store=args.store)
     host, port = server.server_address[:2]
     print(f"serving study (seed {args.seed}) on http://{host}:{port} "
@@ -373,10 +365,13 @@ def cmd_serve(args):
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
-        result = run_load(f"http://{host}:{port}",
-                          requests_per_worker=args.smoke_requests,
-                          workers=2)
-        server.shutdown()
+        try:
+            result = run_load(f"http://{host}:{port}",
+                              requests_per_worker=args.smoke_requests,
+                              workers=2)
+        finally:
+            server.shutdown()
+            server.server_close()
         summary = result.to_json()
         print(f"smoke: {summary['requests']} requests, "
               f"{summary['errors']} errors, {summary['qps']} q/s, "
@@ -399,9 +394,7 @@ def _match_engine(args, study):
 
 def cmd_match_build_index(args):
     from repro.ingest.incremental import fingerprint_id
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     engine = _match_engine(args, study)
     with obs.span("match.build_index"):
         payload = engine.stats(dataset=study.dataset,
@@ -425,17 +418,14 @@ def cmd_match_build_index(args):
 
 def cmd_match_query(args):
     from repro.ingest.incremental import fingerprint_id
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     by_id = {fingerprint_id(fp): fp
              for fp in study.dataset.fingerprints()}
     fp = by_id.get(args.fingerprint)
     if fp is None:
-        print(f"match query: unknown fingerprint id "
-              f"{args.fingerprint!r} (see `repro match build-index` "
-              f"output for the id map)", file=sys.stderr)
-        return 2
+        raise CommandError(f"unknown fingerprint id {args.fingerprint!r} "
+                           f"(see `repro match build-index` output for "
+                           f"the id map)")
     engine = _match_engine(args, study)
     with obs.span("match.query"):
         exact = engine.corpus_index(study.corpus).match(*fp)
@@ -457,9 +447,7 @@ def cmd_match_query(args):
 
 
 def cmd_match_stats(args):
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     engine = _match_engine(args, study)
     with obs.span("match.stats"):
         payload = engine.stats(dataset=study.dataset,
@@ -485,9 +473,7 @@ def cmd_match_stats(args):
 def cmd_verify_record(args):
     from repro.verify import (invariant_summary, record_baseline,
                               render_invariants, run_and_snapshot)
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     results, snapshots = run_and_snapshot(study, jobs=args.jobs)
     summary = invariant_summary(study, results)
     args.invariants = summary
@@ -507,18 +493,11 @@ def cmd_verify_record(args):
 def cmd_verify_check(args):
     from repro.verify import (check_baseline, invariant_summary,
                               render_invariants, run_and_snapshot)
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     results, snapshots = run_and_snapshot(study, jobs=args.jobs)
     summary = invariant_summary(study, results)
     args.invariants = summary
-    try:
-        report = check_baseline(study, args.baseline,
-                                snapshots=snapshots)
-    except ValueError as exc:
-        print(f"verify check: {exc}", file=sys.stderr)
-        return 2
+    report = check_baseline(study, args.baseline, snapshots=snapshots)
     print(report.render())
     print(render_invariants(summary))
     payload = report.to_json()
@@ -529,15 +508,10 @@ def cmd_verify_check(args):
 
 def cmd_verify_matrix(args):
     from repro.verify import EquivalenceMatrix, default_modes
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    args.config = config
+    args.config = config_from_args(args)
     parallel_jobs = args.jobs if args.jobs > 1 else 4
     matrix = EquivalenceMatrix(
-        base_config=config, modes=default_modes(parallel_jobs))
+        base_config=args.config, modes=default_modes(parallel_jobs))
     report = matrix.run()
     print(report.render())
     _write_verify_report(args, report.to_json())
@@ -547,9 +521,7 @@ def cmd_verify_matrix(args):
 def cmd_verify_invariants(args):
     from repro.core.pipeline import run_full_study
     from repro.verify import invariant_summary, render_invariants
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    study = _study_from_args(args)
     results = run_full_study(study, jobs=args.jobs)
     summary = invariant_summary(study, results)
     args.invariants = summary
@@ -560,10 +532,8 @@ def cmd_verify_invariants(args):
 def cmd_verify_streaming(args):
     from repro.inspector.timeline import days
     from repro.verify import check_streaming
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    report = check_streaming(study, window_seconds=days(args.window_days),
+    report = check_streaming(_study_from_args(args),
+                             window_seconds=days(args.window_days),
                              store=args.store)
     print(report.render())
     _write_verify_report(args, report.to_json())
@@ -573,10 +543,7 @@ def cmd_verify_streaming(args):
 def cmd_verify_ml(args):
     from repro.ml import (check_ml_baseline, eval_digest,
                           evaluate_study, record_ml_baseline)
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    payload = evaluate_study(study)
+    payload = evaluate_study(_study_from_args(args))
     if args.record:
         with obs.span("cli.write_output"):
             path = record_ml_baseline(payload, args.baseline)
@@ -588,13 +555,9 @@ def cmd_verify_ml(args):
     try:
         report = check_ml_baseline(payload, args.baseline)
     except FileNotFoundError:
-        print(f"verify ml: baseline not found: {args.baseline} "
-              f"(record one with `repro verify ml --record`)",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"verify ml: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(f"baseline not found: {args.baseline} (record "
+                           f"one with `repro verify ml --record`)") \
+            from None
     if report["ok"]:
         print(f"ml eval digest matches baseline "
               f"({report['actual_digest'][:16]}..., macro-F1 "
@@ -624,45 +587,29 @@ def _ml_params_from_args(args):
     return MLParams(**overrides)
 
 
-def _ml_threshold_or_status(args, command):
+def _ml_threshold(args):
     """Validated --threshold (``None`` defers to the model's default)."""
-    threshold = getattr(args, "threshold", None)
+    threshold = args.threshold
     if threshold is not None and not 0.0 <= threshold <= 1.0:
-        print(f"{command}: --threshold must be within [0.0, 1.0], "
-              f"got {threshold}", file=sys.stderr)
-        return None, 2
-    return threshold, 0
+        raise CommandError(f"--threshold must be within [0.0, 1.0], "
+                           f"got {threshold}")
+    return threshold
 
 
-def _ml_model_or_status(args, command):
-    """The model file --model names, or an exit-2 one-line error."""
+def _ml_model(args):
+    """The model file --model names."""
     from repro.ml import AttributionModel
     try:
-        return AttributionModel.load(args.model), 0
+        return AttributionModel.load(args.model)
     except FileNotFoundError:
-        print(f"{command}: model file not found: {args.model} "
-              f"(run `repro ml train` first)", file=sys.stderr)
-        return None, 2
-    except ValueError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None, 2
+        raise CommandError(f"model file not found: {args.model} (run "
+                           f"`repro ml train` first)") from None
 
 
 def cmd_ml_train(args):
     from repro.ml import train_study
-    try:
-        params = _ml_params_from_args(args)
-    except ValueError as exc:
-        print(f"ml train: {exc}", file=sys.stderr)
-        return 2
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
-    try:
-        model = train_study(study, params=params)
-    except ValueError as exc:
-        print(f"ml train: {exc}", file=sys.stderr)
-        return 2
+    params = _ml_params_from_args(args)
+    model = train_study(_study_from_args(args), params=params)
     with obs.span("cli.write_output"):
         model.save(args.output)
     args.artifacts.append(args.output)
@@ -674,49 +621,35 @@ def cmd_ml_train(args):
 
 
 def _ml_eval_capture(args, model, threshold):
-    """Eval on an external labeled capture; ``(payload, status)``."""
+    """Eval on an external labeled capture (the ``--input`` JSONL)."""
     from repro.ml import evaluate_capture
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             rows = [json.loads(line) for line in handle
                     if line.strip()]
     except FileNotFoundError:
-        print(f"ml eval: input file not found: {args.input}",
-              file=sys.stderr)
-        return None, 2
+        raise CommandError(f"input file not found: {args.input}") \
+            from None
     except json.JSONDecodeError as exc:
-        print(f"ml eval: {args.input} is not JSONL ({exc})",
-              file=sys.stderr)
-        return None, 2
-    try:
-        return evaluate_capture(model, rows, threshold=threshold), 0
-    except ValueError as exc:
-        print(f"ml eval: {exc}", file=sys.stderr)
-        return None, 2
+        raise CommandError(f"{args.input} is not JSONL ({exc})") \
+            from None
+    return evaluate_capture(model, rows, threshold=threshold)
 
 
 def cmd_ml_eval(args):
     from repro.ml import (canonical_report_text, evaluate_model,
                           render_eval)
-    threshold, status = _ml_threshold_or_status(args, "ml eval")
-    if status:
-        return status
-    model, status = _ml_model_or_status(args, "ml eval")
-    if model is None:
-        return status
+    threshold = _ml_threshold(args)
+    model = _ml_model(args)
     if args.input:
-        payload, status = _ml_eval_capture(args, model, threshold)
-        if payload is None:
-            return status
+        payload = _ml_eval_capture(args, model, threshold)
         print(f"capture eval: {payload['records']} records, "
               f"{payload['fingerprints']} fingerprints; accuracy "
               f"{payload['accuracy']:.4f} on {payload['known']} "
               f"known-class fingerprints, {payload['attributed']} "
               f"attributed at confidence >= {payload['threshold']}")
     else:
-        study, status = _study_or_status(args)
-        if study is None:
-            return status
+        study = _study_from_args(args)
         payload = evaluate_model(model, study.dataset, study.corpus,
                                  study.world, study.config,
                                  threshold=threshold)
@@ -731,15 +664,9 @@ def cmd_ml_eval(args):
 
 def cmd_ml_predict(args):
     from repro.ml import labeled_examples
-    threshold, status = _ml_threshold_or_status(args, "ml predict")
-    if status:
-        return status
-    model, status = _ml_model_or_status(args, "ml predict")
-    if model is None:
-        return status
-    study, status = _study_or_status(args)
-    if study is None:
-        return status
+    threshold = _ml_threshold(args)
+    model = _ml_model(args)
+    study = _study_from_args(args)
     _, unmatched = labeled_examples(study.dataset, study.corpus,
                                     study.world,
                                     target=model.params.target)
@@ -763,34 +690,40 @@ def cmd_ml_predict(args):
     return 0
 
 
-def _sweep_cache_root(args):
-    """The shared artifact-store root sweep workers warm, or ``None``."""
-    if getattr(args, "no_cache", False):
-        return None
-    return getattr(args, "cache_dir", None) or \
-        os.environ.get(ENV_CACHE_DIR)
-
-
 def _sweep_store_spec(args):
     """The store-backend spec the sweep/fabric flags describe.
 
-    Raises ``ValueError`` on an impossible combination (the callers
-    print it and exit 2).
+    Raises ``ValueError`` on an impossible combination.
     """
     from repro.store import http_spec, local_spec
-    cache_root = _sweep_cache_root(args)
-    backend = getattr(args, "store_backend", "local")
-    url = getattr(args, "store_url", None)
-    if backend == "http":
-        if not url and not cache_root:
+    cache_root = _cache_root(args)
+    if args.store_backend == "http":
+        if not args.store_url and not cache_root:
             raise ValueError(
                 "--store-backend http needs --store-url (an external "
                 "blob server) or --cache-dir (self-served by the "
                 "coordinator)")
-        return http_spec(url=url, cache_dir=None if url else cache_root)
-    if url:
+        return http_spec(url=args.store_url,
+                         cache_dir=None if args.store_url else cache_root)
+    if args.store_url:
         raise ValueError("--store-url requires --store-backend http")
     return local_spec(cache_root)
+
+
+def _campaign_from_args(args):
+    """The units and store spec the campaign flags describe.
+
+    Records the base config on ``args``; raises ``ValueError`` on a bad
+    grid, stage, or store combination.
+    """
+    from repro.sweep import expand_grid, parse_grid
+    config = config_from_args(args)
+    units = expand_grid(config, seeds=args.seeds,
+                        grid=parse_grid(args.grid),
+                        time_scale=args.time_scale, stage=args.stage)
+    spec = _sweep_store_spec(args)
+    args.config = config
+    return units, spec
 
 
 def _finish_sweep(args, result):
@@ -813,30 +746,18 @@ def _finish_sweep(args, result):
 
 
 def cmd_sweep_run(args):
-    from repro.sweep import SweepRunner, expand_grid, parse_grid
-    try:
-        config = config_from_args(args)
-        units = expand_grid(config, seeds=args.seeds,
-                            grid=parse_grid(args.grid),
-                            time_scale=args.time_scale,
-                            stage=args.stage)
-        store = _sweep_store_spec(args)
-        if args.backend == "local" and store \
-                and store.get("backend") == "http" \
-                and not store.get("url"):
-            raise ValueError("a self-served http store needs "
-                             "--backend cluster (or an explicit "
-                             "--store-url)")
-    except ValueError as exc:
-        print(f"sweep run: {exc}", file=sys.stderr)
-        return 2
-    args.config = config
+    from repro.sweep import SweepRunner
+    units, store = _campaign_from_args(args)
+    if args.backend == "local" and store \
+            and store.get("backend") == "http" and not store.get("url"):
+        raise ValueError("a self-served http store needs --backend "
+                         "cluster (or an explicit --store-url)")
     os.makedirs(args.out, exist_ok=True)
     runner = SweepRunner(
         units=units,
         index_path=os.path.join(args.out, "campaign.json"),
         workers=args.workers,
-        cache_dir=_sweep_cache_root(args),
+        cache_dir=_cache_root(args),
         backend=args.backend, store=store,
         lease_seconds=args.lease_seconds,
         worker_jobs=args.worker_jobs)
@@ -860,22 +781,14 @@ def _load_campaign(args):
 
 
 def cmd_sweep_resume(args):
-    from repro.store import RemoteArtifactStore, StoreUnreachable
+    from repro.store import RemoteArtifactStore
     from repro.sweep import SweepRunner
-    try:
-        index = _load_campaign(args)
-    except ValueError as exc:
-        print(f"sweep resume: {exc}", file=sys.stderr)
-        return 2
+    index = _load_campaign(args)
     spec = index.store_spec
     if spec and spec.get("backend") == "http" and spec.get("url"):
         # Fail fast with one line instead of a ConnectionError
         # traceback from the first unit that dials a dead store.
-        try:
-            RemoteArtifactStore(spec["url"]).ping()
-        except StoreUnreachable as exc:
-            print(f"sweep resume: {exc}", file=sys.stderr)
-            return 2
+        RemoteArtifactStore(spec["url"]).ping()
     runner = SweepRunner(
         index_path=os.path.join(args.out, "campaign.json"),
         workers=args.workers,
@@ -883,22 +796,12 @@ def cmd_sweep_resume(args):
         backend=args.backend, store=spec,
         lease_seconds=args.lease_seconds,
         worker_jobs=args.worker_jobs)
-    try:
-        result = runner.run(resume=True)
-    except ValueError as exc:
-        print(f"sweep resume: {exc}", file=sys.stderr)
-        return 2
-    return _finish_sweep(args, result)
+    return _finish_sweep(args, runner.run(resume=True))
 
 
 def cmd_sweep_report(args):
     from repro.sweep import SweepAggregator
-    try:
-        index = _load_campaign(args)
-    except ValueError as exc:
-        print(f"sweep report: {exc}", file=sys.stderr)
-        return 2
-    report = SweepAggregator.from_index(index).report()
+    report = SweepAggregator.from_index(_load_campaign(args)).report()
     print(report.render())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -916,7 +819,6 @@ def cmd_fabric_serve(args):
                               DEFAULT_MAX_ATTEMPTS, FabricCoordinator,
                               make_fabric_server)
     from repro.store import ArtifactStore, CampaignIndex
-    from repro.sweep import expand_grid, parse_grid
     index_path = os.path.join(args.out, "campaign.json")
     try:
         index = _load_campaign(args)
@@ -925,22 +827,11 @@ def cmd_fabric_serve(args):
               f"{index.campaign_id[:12]} ({len(index.completed)}/"
               f"{len(index.units)} units complete)")
     except ValueError:
-        try:
-            config = config_from_args(args)
-            units = expand_grid(config, seeds=args.seeds,
-                                grid=parse_grid(args.grid),
-                                time_scale=args.time_scale,
-                                stage=args.stage)
-            spec = _sweep_store_spec(args)
-        except ValueError as exc:
-            print(f"fabric serve: {exc}", file=sys.stderr)
-            return 2
-        args.config = config
+        units, spec = _campaign_from_args(args)
         os.makedirs(args.out, exist_ok=True)
         index = CampaignIndex.create(
             index_path, [unit.to_json() for unit in units],
-            units[0].stage, cache_dir=_sweep_cache_root(args),
-            store=spec)
+            units[0].stage, cache_dir=_cache_root(args), store=spec)
         print(f"fabric serve: created campaign "
               f"{index.campaign_id[:12]} ({len(units)} units)")
     blob_store = None
@@ -986,13 +877,9 @@ def cmd_fabric_worker(args):
     from repro.fabric import worker_main
     if not args.worker_id:
         args.worker_id = f"{os.uname().nodename}-{os.getpid()}"
-    try:
-        summary = worker_main(args.url, worker_id=args.worker_id,
-                              jobs=args.jobs, max_units=args.max_units,
-                              poll_seconds=args.poll_seconds)
-    except ConnectionError as exc:
-        print(f"fabric worker: {exc}", file=sys.stderr)
-        return 2
+    summary = worker_main(args.url, worker_id=args.worker_id,
+                          jobs=args.jobs, max_units=args.max_units,
+                          poll_seconds=args.poll_seconds)
     print(f"fabric worker {summary['worker']}: "
           f"ran {len(summary['ran'])}, "
           f"stolen {len(summary['stolen'])}, "
@@ -1001,12 +888,8 @@ def cmd_fabric_worker(args):
 
 
 def cmd_fabric_status(args):
-    from repro.obs.scrape import ScrapeError, scrape
-    try:
-        status = scrape(args.url, "/fabric/status")
-    except ScrapeError as exc:
-        print(f"fabric status: {exc}", file=sys.stderr)
-        return 2
+    from repro.obs.scrape import scrape
+    status = scrape(args.url, "/fabric/status")
     done = " — done" if status.get("done") else ""
     print(f"campaign {status['campaign_id'][:12]} "
           f"(stage {status['stage']}): {status['completed']}/"
@@ -1023,16 +906,12 @@ def cmd_fabric_status(args):
 
 def cmd_trace_summary(args):
     from repro.obs.summary import summarize_file
-    try:
-        print(summarize_file(args.trace_file, top=args.top))
-    except (OSError, ValueError) as exc:
-        print(f"trace-summary: {exc}", file=sys.stderr)
-        return 2
+    print(summarize_file(args.trace_file, top=args.top))
     return 0
 
 
 def cmd_obs_top(args):
-    from repro.obs.scrape import ScrapeError, render_top, scrape
+    from repro.obs.scrape import render_top, scrape
     previous = None
     frame = 0
     try:
@@ -1050,26 +929,18 @@ def cmd_obs_top(args):
                 break
             print("")
             time.sleep(args.interval)
-    except ScrapeError as exc:
-        print(f"obs top: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         pass
     return 0
 
 
 def cmd_obs_export(args):
-    from repro.obs.scrape import ScrapeError, scrape
-    try:
-        if args.format == "prom":
-            text = scrape(args.url, "/metrics?format=prom",
-                          as_text=True)
-        else:
-            payload = scrape(args.url, "/metrics")
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    except ScrapeError as exc:
-        print(f"obs export: {exc}", file=sys.stderr)
-        return 2
+    from repro.obs.scrape import scrape
+    if args.format == "prom":
+        text = scrape(args.url, "/metrics?format=prom", as_text=True)
+    else:
+        payload = scrape(args.url, "/metrics")
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output == "-":
         print(text, end="")
         return 0
@@ -1080,14 +951,9 @@ def cmd_obs_export(args):
 
 
 def cmd_obs_diff(args):
-    from repro.obs.scrape import (ScrapeError, diff_snapshots,
-                                  load_export, render_diff)
-    try:
-        before = load_export(args.before)
-        after = load_export(args.after)
-    except ScrapeError as exc:
-        print(f"obs diff: {exc}", file=sys.stderr)
-        return 2
+    from repro.obs.scrape import diff_snapshots, load_export, render_diff
+    before = load_export(args.before)
+    after = load_export(args.after)
     report = diff_snapshots(before, after, tolerance=args.tolerance)
     print(render_diff(report))
     if args.json:
@@ -1098,30 +964,113 @@ def cmd_obs_diff(args):
     return 0 if report["ok"] else 1
 
 
+def _add_campaign(parser):
+    """Grid and store flags shared by ``sweep run`` and ``fabric serve``."""
+    group = parser.add_argument_group("campaign")
+    group.add_argument("--seeds", type=int, default=4,
+                       help="number of consecutive seeds starting at "
+                            "--seed (default %(default)s)")
+    group.add_argument("--grid", metavar="AXES", default="seeds",
+                       help="comma-separated grid axes from "
+                            "seeds,stores,faults (default %(default)s)")
+    group.add_argument("--stage", choices=("full", "probe", "ml"),
+                       default="full",
+                       help="run the full pipeline or stop after "
+                            "probing (default %(default)s)")
+    group.add_argument("--time-scale", type=float, default=0.0,
+                       dest="time_scale",
+                       help="real seconds slept per simulated network "
+                            "second while probing (default "
+                            "%(default)s; never changes output bytes)")
+    group.add_argument("--out", metavar="DIR", default="sweep_out",
+                       help="campaign directory: ledger + report "
+                            "(default %(default)s)")
+    group.add_argument("--store-backend", choices=("local", "http"),
+                       default="local", dest="store_backend",
+                       help="artifact store backend the units use "
+                            "(default %(default)s; http dials "
+                            "--store-url or is self-served by the "
+                            "coordinator from --cache-dir)")
+    group.add_argument("--store-url", metavar="URL", default=None,
+                       dest="store_url",
+                       help="base URL of an external http blob store")
+    _add_lease_seconds(group)
+
+
+def _add_lease_seconds(parser):
+    parser.add_argument("--lease-seconds", type=float, default=None,
+                        dest="lease_seconds",
+                        help="cluster lease/heartbeat interval "
+                             "(default: fabric default)")
+
+
 def _add_sweep_backend(parser):
-    """Execution-backend flags shared by ``sweep run`` and ``resume``."""
+    """Execution flags shared by ``sweep run`` and ``sweep resume``."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes; 1 runs inline "
+                             "(default %(default)s; output digests are "
+                             "identical for any value)")
     parser.add_argument("--backend", choices=("local", "cluster"),
                         default="local",
                         help="execution backend: this process / a "
                              "process pool, or a fabric coordinator + "
                              "worker processes (default %(default)s; "
                              "digests are identical either way)")
-    parser.add_argument("--lease-seconds", type=float, default=None,
-                        dest="lease_seconds",
-                        help="cluster lease/heartbeat interval "
-                             "(default: fabric default)")
     parser.add_argument("--worker-jobs", type=int, default=2,
                         dest="worker_jobs",
                         help="claim threads per cluster worker process "
                              "(default %(default)s)")
 
 
-def _add_study_command(sub, name, help_text, func):
+def _add_match_mode(parser):
+    parser.add_argument("--mode", choices=("exact", "sketch"),
+                        default="sketch",
+                        help="matching engine mode (default %(default)s; "
+                             "results are identical, sketch prunes "
+                             "candidates)")
+
+
+def _add_ml_model(parser):
+    """The trained-model flags ``ml eval`` and ``ml predict`` share."""
+    parser.add_argument("--model", default=DEFAULT_ML_MODEL,
+                        help="trained model file (default %(default)s)")
+    parser.add_argument("--threshold", type=float, default=None,
+                        help="attribution confidence floor in [0, 1] "
+                             "(default: the model's)")
+
+
+def _add_window_days(parser):
+    parser.add_argument("--window-days", type=int, default=28,
+                        dest="window_days",
+                        help="stream window width in capture days "
+                             "(default %(default)s)")
+
+
+def _add_bind(parser, port):
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="bind address (default %(default)s)")
+    parser.add_argument("--port", type=int, default=port,
+                        help="bind port; 0 picks an ephemeral port "
+                             "(default %(default)s)")
+
+
+#: the flag groups of a command that builds a study.
+_STUDY_FLAGS = (_add_config, _add_cache, _add_obs)
+
+
+def _command(sub, name, help_text, func, groups=_STUDY_FLAGS):
+    """One leaf command: its parser, the flag ``groups``, its ``func``."""
     parser = sub.add_parser(name, help=help_text)
-    _add_config(parser)
-    _add_cache(parser)
+    for add_group in groups:
+        add_group(parser)
     parser.set_defaults(func=func)
     return parser
+
+
+def _command_group(sub, name, help_text):
+    """A command with subcommands, dispatched on ``<name>_command``."""
+    return sub.add_parser(name, help=help_text).add_subparsers(
+        dest=f"{name}_command", required=True)
 
 
 def build_parser():
@@ -1130,58 +1079,38 @@ def build_parser():
         description="Reproduction of 'Behind the Scenes' (IMC 2023)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_generate = _add_study_command(
-        sub, "generate",
-        "generate the world, save the capture as JSONL", cmd_generate)
+    p_generate = _command(sub, "generate",
+                          "generate the world, save the capture as JSONL",
+                          cmd_generate)
     p_generate.add_argument("-o", "--output", default="capture.jsonl")
-    _add_obs(p_generate)
-
-    p_probe = _add_study_command(
-        sub, "probe", "probe all SNIs, save per-server cert summary",
-        cmd_probe)
+    p_probe = _command(sub, "probe",
+                       "probe all SNIs, save per-server cert summary",
+                       cmd_probe)
     p_probe.add_argument("-o", "--output", default="certificates.jsonl")
     p_probe.add_argument("--stats", action="store_true",
                          help="print probe engine telemetry (attempts, "
                               "retries, error taxonomy)")
-    _add_obs(p_probe)
-
-    p_report = _add_study_command(
-        sub, "report", "run the full pipeline, write the markdown report",
-        cmd_report)
+    p_report = _command(sub, "report",
+                        "run the full pipeline, write the markdown report",
+                        cmd_report)
     p_report.add_argument("-o", "--output", default="study_report.md",
                           help="output path, or '-' for stdout")
-    _add_obs(p_report)
-
-    p_audit = _add_study_command(sub, "audit", "audit one vendor",
-                                 cmd_audit)
+    p_audit = _command(sub, "audit", "audit one vendor", cmd_audit)
     p_audit.add_argument("vendor")
-    _add_obs(p_audit)
-
-    p_figures = _add_study_command(
-        sub, "figures", "export plot-ready JSON data for every figure",
-        cmd_figures)
+    p_figures = _command(sub, "figures",
+                         "export plot-ready JSON data for every figure",
+                         cmd_figures)
     p_figures.add_argument("-o", "--output", default="figure_data")
-    _add_obs(p_figures)
-
-    p_whatif = _add_study_command(
-        sub, "whatif", "run the recommendation experiments", cmd_whatif)
+    p_whatif = _command(sub, "whatif",
+                        "run the recommendation experiments", cmd_whatif)
     p_whatif.add_argument("experiment",
                           choices=("acme", "aia", "revocation", "all"))
-    _add_obs(p_whatif)
 
-    p_serve = _add_study_command(
+    p_serve = _command(
         sub, "serve",
         "stream-ingest the capture, serve the query API over HTTP",
-        cmd_serve)
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default %(default)s)")
-    p_serve.add_argument("--port", type=int, default=8437,
-                         help="bind port; 0 picks an ephemeral port "
-                              "(default %(default)s)")
-    p_serve.add_argument("--window-days", type=int, default=28,
-                         dest="window_days",
-                         help="stream window width in capture days "
-                              "(default %(default)s)")
+        cmd_serve, _STUDY_FLAGS + (_add_window_days,))
+    _add_bind(p_serve, 8437)
     p_serve.add_argument("--smoke", action="store_true",
                          help="run the built-in load mix against the "
                               "warm server, print the summary, exit")
@@ -1189,36 +1118,22 @@ def build_parser():
                          dest="smoke_requests",
                          help="requests per smoke worker "
                               "(default %(default)s)")
-    _add_obs(p_serve)
 
-    p_match = sub.add_parser(
-        "match",
-        help="the repro.match engine: build indexes, query near "
-             "matches, inspect index stats")
-    match_sub = p_match.add_subparsers(dest="match_command",
-                                       required=True)
-
-    def _add_match_command(name, help_text, func):
-        sub_parser = match_sub.add_parser(name, help=help_text)
-        _add_config(sub_parser)
-        _add_cache(sub_parser)
-        sub_parser.add_argument(
-            "--mode", choices=("exact", "sketch"), default="sketch",
-            help="matching engine mode (default %(default)s; results "
-                 "are identical, sketch prunes candidates)")
-        _add_obs(sub_parser)
-        sub_parser.set_defaults(func=func)
-        return sub_parser
-
-    p_mbuild = _add_match_command(
-        "build-index",
+    match_sub = _command_group(
+        sub, "match",
+        "the repro.match engine: build indexes, query near matches, "
+        "inspect index stats")
+    match_groups = _STUDY_FLAGS + (_add_match_mode,)
+    p_mbuild = _command(
+        match_sub, "build-index",
         "construct the corpus + vendor similarity indexes, write the "
-        "stats and fingerprint-id map as JSON", cmd_match_build_index)
+        "stats and fingerprint-id map as JSON",
+        cmd_match_build_index, match_groups)
     p_mbuild.add_argument("-o", "--output", default="match_index.json")
-    p_mquery = _add_match_command(
-        "query",
+    p_mquery = _command(
+        match_sub, "query",
         "exact near-match libraries for one fingerprint id",
-        cmd_match_query)
+        cmd_match_query, match_groups)
     p_mquery.add_argument("fingerprint",
                           help="fingerprint id (16-hex handle from "
                                "build-index or /v1/fingerprints)")
@@ -1227,22 +1142,18 @@ def build_parser():
                                "(default %(default)s)")
     p_mquery.add_argument("--limit", type=int, default=10,
                           help="max results (default %(default)s)")
-    _add_match_command(
-        "stats",
-        "engine parameters and corpus/vendor index statistics",
-        cmd_match_stats)
+    _command(match_sub, "stats",
+             "engine parameters and corpus/vendor index statistics",
+             cmd_match_stats, match_groups)
 
-    p_ml = sub.add_parser(
-        "ml",
-        help="learned fingerprint attribution: train/eval/predict "
-             "seeded pure-numpy classifiers over the labeled "
-             "synthetic world")
-    ml_sub = p_ml.add_subparsers(dest="ml_command", required=True)
-    p_mltrain = ml_sub.add_parser(
-        "train", help="train the naive-Bayes + logistic-regression "
-                      "bundle, write the JSON model file")
-    _add_config(p_mltrain)
-    _add_cache(p_mltrain)
+    ml_sub = _command_group(
+        sub, "ml",
+        "learned fingerprint attribution: train/eval/predict seeded "
+        "pure-numpy classifiers over the labeled synthetic world")
+    p_mltrain = _command(
+        ml_sub, "train",
+        "train the naive-Bayes + logistic-regression bundle, write the "
+        "JSON model file", cmd_ml_train)
     p_mltrain.add_argument("--target", choices=("family", "vendor"),
                            default=None,
                            help="prediction target (default family)")
@@ -1258,20 +1169,11 @@ def build_parser():
                                 "(default 0.3)")
     p_mltrain.add_argument("-o", "--output", default=DEFAULT_ML_MODEL,
                            help="model file (default %(default)s)")
-    _add_obs(p_mltrain)
-    p_mltrain.set_defaults(func=cmd_ml_train)
-    p_mleval = ml_sub.add_parser(
-        "eval", help="evaluate a trained model, write the canonical "
-                     "eval report (digest-checkable by `repro verify "
-                     "ml`)")
-    _add_config(p_mleval)
-    _add_cache(p_mleval)
-    p_mleval.add_argument("--model", default=DEFAULT_ML_MODEL,
-                          help="trained model file "
-                               "(default %(default)s)")
-    p_mleval.add_argument("--threshold", type=float, default=None,
-                          help="attribution confidence floor in "
-                               "[0, 1] (default: the model's)")
+    p_mleval = _command(
+        ml_sub, "eval",
+        "evaluate a trained model, write the canonical eval report "
+        "(digest-checkable by `repro verify ml`)",
+        cmd_ml_eval, _STUDY_FLAGS + (_add_ml_model,))
     p_mleval.add_argument("--input", metavar="PATH", default=None,
                           help="evaluate on an external labeled "
                                "capture (JSONL rows with vendor "
@@ -1280,94 +1182,60 @@ def build_parser():
                           default=DEFAULT_ML_REPORT,
                           help="canonical eval report path "
                                "(default %(default)s)")
-    _add_obs(p_mleval)
-    p_mleval.set_defaults(func=cmd_ml_eval)
-    p_mlpredict = ml_sub.add_parser(
-        "predict", help="attribute the exact-match-unmatched "
-                        "fingerprints with a trained model")
-    _add_config(p_mlpredict)
-    _add_cache(p_mlpredict)
-    p_mlpredict.add_argument("--model", default=DEFAULT_ML_MODEL,
-                             help="trained model file "
-                                  "(default %(default)s)")
-    p_mlpredict.add_argument("--threshold", type=float, default=None,
-                             help="attribution confidence floor in "
-                                  "[0, 1] (default: the model's)")
+    p_mlpredict = _command(
+        ml_sub, "predict",
+        "attribute the exact-match-unmatched fingerprints with a "
+        "trained model", cmd_ml_predict, _STUDY_FLAGS + (_add_ml_model,))
     p_mlpredict.add_argument("--limit", type=int, default=20,
                              help="prediction rows to print "
                                   "(default %(default)s)")
     p_mlpredict.add_argument("-o", "--output", default=None,
                              help="also write every prediction row "
                                   "as JSON to PATH")
-    _add_obs(p_mlpredict)
-    p_mlpredict.set_defaults(func=cmd_ml_predict)
 
-    p_verify = sub.add_parser(
-        "verify",
-        help="differential conformance: golden baselines, equivalence "
-             "matrix, paper invariants")
-    verify_sub = p_verify.add_subparsers(dest="verify_command",
-                                         required=True)
-    p_vrecord = verify_sub.add_parser(
-        "record", help="record the golden baseline for this config")
-    _add_config(p_vrecord)
-    _add_cache(p_vrecord)
+    verify_sub = _command_group(
+        sub, "verify",
+        "differential conformance: golden baselines, equivalence "
+        "matrix, paper invariants")
+    p_vrecord = _command(verify_sub, "record",
+                         "record the golden baseline for this config",
+                         cmd_verify_record)
     p_vrecord.add_argument("--baseline", metavar="PATH",
                            default=DEFAULT_BASELINE,
                            help="baseline file (default %(default)s)")
-    _add_obs(p_vrecord)
-    p_vrecord.set_defaults(func=cmd_verify_record)
-    p_vcheck = verify_sub.add_parser(
-        "check",
-        help="re-run the pipeline, compare against the golden baseline")
-    _add_config(p_vcheck)
-    _add_cache(p_vcheck)
+    p_vcheck = _command(
+        verify_sub, "check",
+        "re-run the pipeline, compare against the golden baseline",
+        cmd_verify_check)
     p_vcheck.add_argument("--baseline", metavar="PATH",
                           default=DEFAULT_BASELINE,
                           help="baseline file (default %(default)s)")
     p_vcheck.add_argument("--report", metavar="PATH", default=None,
                           help="also write the structured diff report "
                                "as JSON to PATH")
-    _add_obs(p_vcheck)
-    p_vcheck.set_defaults(func=cmd_verify_check)
-    p_vmatrix = verify_sub.add_parser(
-        "matrix",
-        help="prove execution modes equivalent (serial/parallel, "
-             "cold/warm cache, faults+retries, store permutations)")
-    _add_config(p_vmatrix)
+    p_vmatrix = _command(
+        verify_sub, "matrix",
+        "prove execution modes equivalent (serial/parallel, cold/warm "
+        "cache, faults+retries, store permutations)",
+        cmd_verify_matrix, (_add_config, _add_obs))
     p_vmatrix.add_argument("--report", metavar="PATH", default=None,
                            help="also write per-mode node digests and "
                                 "mismatches as JSON to PATH")
-    _add_obs(p_vmatrix)
-    p_vmatrix.set_defaults(func=cmd_verify_matrix)
-    p_vinv = verify_sub.add_parser(
-        "invariants",
-        help="evaluate the paper-invariant checks and print verdicts")
-    _add_config(p_vinv)
-    _add_cache(p_vinv)
-    _add_obs(p_vinv)
-    p_vinv.set_defaults(func=cmd_verify_invariants)
-    p_vstream = verify_sub.add_parser(
-        "streaming",
-        help="prove the streaming ingest path's final state equals "
-             "the batch pipeline's, node for node")
-    _add_config(p_vstream)
-    _add_cache(p_vstream)
-    p_vstream.add_argument("--window-days", type=int, default=28,
-                           dest="window_days",
-                           help="stream window width in capture days "
-                                "(default %(default)s)")
+    _command(verify_sub, "invariants",
+             "evaluate the paper-invariant checks and print verdicts",
+             cmd_verify_invariants)
+    p_vstream = _command(
+        verify_sub, "streaming",
+        "prove the streaming ingest path's final state equals the batch "
+        "pipeline's, node for node",
+        cmd_verify_streaming, _STUDY_FLAGS + (_add_window_days,))
     p_vstream.add_argument("--report", metavar="PATH", default=None,
                            help="also write per-node digests as JSON "
                                 "to PATH")
-    _add_obs(p_vstream)
-    p_vstream.set_defaults(func=cmd_verify_streaming)
-    p_vml = verify_sub.add_parser(
-        "ml",
-        help="re-train the attribution model and digest-check its "
-             "canonical eval report against the committed baseline")
-    _add_config(p_vml)
-    _add_cache(p_vml)
+    p_vml = _command(
+        verify_sub, "ml",
+        "re-train the attribution model and digest-check its canonical "
+        "eval report against the committed baseline", cmd_verify_ml)
     p_vml.add_argument("--baseline", metavar="PATH",
                        default=DEFAULT_ML_BASELINE,
                        help="ml baseline file (default %(default)s)")
@@ -1376,123 +1244,40 @@ def build_parser():
     p_vml.add_argument("--report", metavar="PATH", default=None,
                        help="also write the digest-check report as "
                             "JSON to PATH")
-    _add_obs(p_vml)
-    p_vml.set_defaults(func=cmd_verify_ml)
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="process-parallel multi-config campaigns: seed grids, "
-             "trust-store and fault ablations, variance bands")
-    sweep_sub = p_sweep.add_subparsers(dest="sweep_command",
-                                       required=True)
-    p_srun = sweep_sub.add_parser(
-        "run", help="run (or re-run, skipping completed configs) a "
-                    "sweep campaign")
-    _add_config(p_srun)
-    _add_cache(p_srun)
-    p_srun.add_argument("--seeds", type=int, default=4,
-                        help="number of consecutive seeds starting at "
-                             "--seed (default %(default)s)")
-    p_srun.add_argument("--workers", type=int, default=1,
-                        help="worker processes; 1 runs inline "
-                             "(default %(default)s; output digests are "
-                             "identical for any value)")
-    p_srun.add_argument("--grid", metavar="AXES", default="seeds",
-                        help="comma-separated grid axes from "
-                             "seeds,stores,faults (default %(default)s)")
-    p_srun.add_argument("--stage", choices=("full", "probe", "ml"),
-                        default="full",
-                        help="run the full pipeline or stop after "
-                             "probing (default %(default)s)")
-    p_srun.add_argument("--time-scale", type=float, default=0.0,
-                        dest="time_scale",
-                        help="real seconds slept per simulated network "
-                             "second while probing (default "
-                             "%(default)s; never changes output bytes)")
-    p_srun.add_argument("--out", metavar="DIR", default="sweep_out",
-                        help="campaign directory: ledger + report "
-                             "(default %(default)s)")
-    _add_sweep_backend(p_srun)
-    p_srun.add_argument("--store-backend", choices=("local", "http"),
-                        default="local", dest="store_backend",
-                        help="artifact store backend the workers use "
-                             "(default %(default)s; http dials "
-                             "--store-url or is self-served by the "
-                             "cluster coordinator from --cache-dir)")
-    p_srun.add_argument("--store-url", metavar="URL", default=None,
-                        dest="store_url",
-                        help="base URL of an external http blob store")
-    _add_obs(p_srun)
-    p_srun.set_defaults(func=cmd_sweep_run)
-    p_sresume = sweep_sub.add_parser(
-        "resume", help="resume a killed campaign: re-run only "
-                       "incomplete configs")
+    sweep_sub = _command_group(
+        sub, "sweep",
+        "process-parallel multi-config campaigns: seed grids, "
+        "trust-store and fault ablations, variance bands")
+    _command(sweep_sub, "run",
+             "run (or re-run, skipping completed configs) a sweep "
+             "campaign", cmd_sweep_run,
+             _STUDY_FLAGS + (_add_campaign, _add_sweep_backend))
+    p_sresume = _command(
+        sweep_sub, "resume",
+        "resume a killed campaign: re-run only incomplete configs",
+        cmd_sweep_resume, (_add_obs, _add_sweep_backend,
+                           _add_lease_seconds))
     p_sresume.add_argument("--out", metavar="DIR", default="sweep_out")
-    p_sresume.add_argument("--workers", type=int, default=1)
-    _add_sweep_backend(p_sresume)
-    _add_obs(p_sresume)
-    p_sresume.set_defaults(func=cmd_sweep_resume, seed=DEFAULT_SEED)
-    p_sreport = sweep_sub.add_parser(
-        "report", help="aggregate a campaign ledger into variance "
-                       "bands (no re-running)")
+    p_sreport = _command(
+        sweep_sub, "report",
+        "aggregate a campaign ledger into variance bands (no re-running)",
+        cmd_sweep_report, (_add_obs,))
     p_sreport.add_argument("--out", metavar="DIR", default="sweep_out")
     p_sreport.add_argument("--json", metavar="PATH", default=None,
                            help="also write the aggregate report as "
                                 "JSON to PATH")
-    _add_obs(p_sreport)
-    p_sreport.set_defaults(func=cmd_sweep_report, seed=DEFAULT_SEED)
 
-    p_fabric = sub.add_parser(
-        "fabric",
-        help="distributed campaign fabric: serve a campaign's units "
-             "as leases, run a worker, inspect a coordinator")
-    fabric_sub = p_fabric.add_subparsers(dest="fabric_command",
-                                         required=True)
-    p_fserve = fabric_sub.add_parser(
-        "serve",
-        help="serve a campaign over HTTP (leases + blob store + "
-             "/metrics); creates the campaign from the grid flags "
-             "when --out has no ledger yet")
-    _add_config(p_fserve)
-    _add_cache(p_fserve)
-    p_fserve.add_argument("--seeds", type=int, default=4,
-                          help="number of consecutive seeds starting "
-                               "at --seed (default %(default)s)")
-    p_fserve.add_argument("--grid", metavar="AXES", default="seeds",
-                          help="comma-separated grid axes from "
-                               "seeds,stores,faults "
-                               "(default %(default)s)")
-    p_fserve.add_argument("--stage", choices=("full", "probe", "ml"),
-                          default="full",
-                          help="run the full pipeline or stop after "
-                               "probing (default %(default)s)")
-    p_fserve.add_argument("--time-scale", type=float, default=0.0,
-                          dest="time_scale",
-                          help="real seconds slept per simulated "
-                               "network second while probing "
-                               "(default %(default)s)")
-    p_fserve.add_argument("--out", metavar="DIR", default="sweep_out",
-                          help="campaign directory "
-                               "(default %(default)s)")
-    p_fserve.add_argument("--host", default="127.0.0.1",
-                          help="bind address (default %(default)s)")
-    p_fserve.add_argument("--port", type=int, default=8600,
-                          help="bind port; 0 picks an ephemeral port "
-                               "(default %(default)s)")
-    p_fserve.add_argument("--store-backend", choices=("local", "http"),
-                          default="local", dest="store_backend",
-                          help="artifact store backend leases carry "
-                               "(default %(default)s; http without "
-                               "--store-url is self-served from "
-                               "--cache-dir)")
-    p_fserve.add_argument("--store-url", metavar="URL", default=None,
-                          dest="store_url",
-                          help="base URL of an external http blob "
-                               "store")
-    p_fserve.add_argument("--lease-seconds", type=float, default=None,
-                          dest="lease_seconds",
-                          help="lease/heartbeat interval "
-                               "(default: fabric default)")
+    fabric_sub = _command_group(
+        sub, "fabric",
+        "distributed campaign fabric: serve a campaign's units as "
+        "leases, run a worker, inspect a coordinator")
+    p_fserve = _command(
+        fabric_sub, "serve",
+        "serve a campaign over HTTP (leases + blob store + /metrics); "
+        "creates the campaign from the grid flags when --out has no "
+        "ledger yet", cmd_fabric_serve, _STUDY_FLAGS + (_add_campaign,))
+    _add_bind(p_fserve, 8600)
     p_fserve.add_argument("--max-attempts", type=int, default=None,
                           dest="max_attempts",
                           help="lease grants per unit before it is "
@@ -1502,11 +1287,10 @@ def build_parser():
                           dest="until_done",
                           help="exit when every unit is completed or "
                                "exhausted (instead of serving forever)")
-    _add_obs(p_fserve)
-    p_fserve.set_defaults(func=cmd_fabric_serve)
-    p_fworker = fabric_sub.add_parser(
-        "worker", help="claim, run, and upload units from a fabric "
-                       "coordinator until its campaign is done")
+    p_fworker = _command(
+        fabric_sub, "worker",
+        "claim, run, and upload units from a fabric coordinator until "
+        "its campaign is done", cmd_fabric_worker, (_add_obs,))
     p_fworker.add_argument("url", help="coordinator base URL")
     p_fworker.add_argument("--worker-id", default=None,
                            dest="worker_id",
@@ -1524,47 +1308,42 @@ def build_parser():
                            help="sleep between lease attempts while "
                                 "the queue is drained "
                                 "(default %(default)s)")
-    _add_obs(p_fworker)
-    p_fworker.set_defaults(func=cmd_fabric_worker, seed=DEFAULT_SEED)
-    p_fstatus = fabric_sub.add_parser(
-        "status", help="one-shot queue/lease/ledger view of a running "
-                       "coordinator")
+    p_fstatus = _command(
+        fabric_sub, "status",
+        "one-shot queue/lease/ledger view of a running coordinator",
+        cmd_fabric_status, (_add_obs,))
     p_fstatus.add_argument("url", nargs="?",
                            default="http://127.0.0.1:8600",
                            help="coordinator base URL "
                                 "(default %(default)s)")
-    _add_obs(p_fstatus)
-    p_fstatus.set_defaults(func=cmd_fabric_status, seed=DEFAULT_SEED)
 
-    p_cache = sub.add_parser(
-        "cache", help="inspect or clear the artifact store")
-    cache_sub = p_cache.add_subparsers(dest="cache_command",
-                                       required=True)
-    p_stats = cache_sub.add_parser(
-        "stats", help="entry counts, bytes, per-stage breakdown")
-    p_stats.add_argument("--cache-dir", metavar="DIR", default=None)
-    p_stats.set_defaults(func=cmd_cache_stats)
-    p_clear = cache_sub.add_parser(
-        "clear", help="delete every cached artifact (all versions)")
-    p_clear.add_argument("--cache-dir", metavar="DIR", default=None)
-    p_clear.set_defaults(func=cmd_cache_clear)
+    cache_sub = _command_group(sub, "cache",
+                               "inspect or clear the artifact store")
+    for name, help_text, func in (
+            ("stats", "entry counts, bytes, per-stage breakdown",
+             cmd_cache_stats),
+            ("clear", "delete every cached artifact (all versions)",
+             cmd_cache_clear)):
+        p_cache = _command(cache_sub, name, help_text, func, ())
+        p_cache.add_argument("--cache-dir", metavar="DIR", default=None)
 
-    p_trace = sub.add_parser(
-        "trace-summary",
-        help="render a --trace JSONL file (top spans, metrics, manifest)")
+    p_trace = _command(
+        sub, "trace-summary",
+        "render a --trace JSONL file (top spans, metrics, manifest)",
+        cmd_trace_summary, ())
     p_trace.add_argument("trace_file")
     p_trace.add_argument("--top", type=int, default=15,
                          help="span names to show (default %(default)s)")
-    p_trace.set_defaults(func=cmd_trace_summary)
 
-    p_obs = sub.add_parser(
-        "obs", help="inspect a running repro serve over HTTP: live "
-                    "top view, snapshot export, snapshot diff")
-    obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
+    obs_sub = _command_group(
+        sub, "obs",
+        "inspect a running repro serve over HTTP: live top view, "
+        "snapshot export, snapshot diff")
     default_url = "http://127.0.0.1:8437"
-    p_otop = obs_sub.add_parser(
-        "top", help="poll a server's health, SLO verdicts, and key "
-                    "metrics (ctrl-C to stop)")
+    p_otop = _command(
+        obs_sub, "top",
+        "poll a server's health, SLO verdicts, and key metrics (ctrl-C "
+        "to stop)", cmd_obs_top, ())
     p_otop.add_argument("url", nargs="?", default=default_url,
                         help="server base URL (default %(default)s)")
     p_otop.add_argument("--interval", type=float, default=2.0,
@@ -1573,9 +1352,9 @@ def build_parser():
     p_otop.add_argument("--count", type=int, default=0,
                         help="frames to render; 0 polls until "
                              "interrupted (default %(default)s)")
-    p_otop.set_defaults(func=cmd_obs_top)
-    p_oexport = obs_sub.add_parser(
-        "export", help="scrape /metrics once, write the snapshot")
+    p_oexport = _command(obs_sub, "export",
+                         "scrape /metrics once, write the snapshot",
+                         cmd_obs_export, ())
     p_oexport.add_argument("url", nargs="?", default=default_url,
                            help="server base URL (default %(default)s)")
     p_oexport.add_argument("-o", "--output",
@@ -1586,10 +1365,10 @@ def build_parser():
                            default="json",
                            help="JSON snapshot or Prometheus "
                                 "exposition text (default %(default)s)")
-    p_oexport.set_defaults(func=cmd_obs_export)
-    p_odiff = obs_sub.add_parser(
-        "diff", help="compare two exported JSON snapshots and flag "
-                     "regressions (exit 1 when any)")
+    p_odiff = _command(
+        obs_sub, "diff",
+        "compare two exported JSON snapshots and flag regressions "
+        "(exit 1 when any)", cmd_obs_diff, ())
     p_odiff.add_argument("before", help="earlier obs export file")
     p_odiff.add_argument("after", help="later obs export file")
     p_odiff.add_argument("--tolerance", type=float, default=0.05,
@@ -1599,8 +1378,22 @@ def build_parser():
     p_odiff.add_argument("--json", metavar="PATH", default=None,
                          help="also write the structured diff report "
                               "as JSON to PATH")
-    p_odiff.set_defaults(func=cmd_obs_diff)
     return parser
+
+
+def _command_path(args):
+    """``verify check``, ``cache stats``, ``report``: the words typed."""
+    subcommand = getattr(args, f"{args.command}_command", None)
+    return f"{args.command} {subcommand}" if subcommand else args.command
+
+
+def _dispatch(args):
+    """Run the command; a usage error becomes one stderr line, exit 2."""
+    try:
+        return args.func(args)
+    except _USAGE_ERRORS as exc:
+        print(f"{_command_path(args)}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run_observed(args):
@@ -1613,13 +1406,13 @@ def _run_observed(args):
     previous = obs.activate(ctx)
     try:
         with ctx.span(f"cli.{args.command}"):
-            code = args.func(args)
+            code = _dispatch(args)
     finally:
         obs.deactivate(previous)
     manifest = RunManifest.from_run(
         command=args.command,
         config=getattr(args, "config", None)
-        or StudyConfig(seed=args.seed),
+        or StudyConfig(seed=getattr(args, "seed", DEFAULT_SEED)),
         obs_ctx=ctx, outputs=args.artifacts,
         started_at=started_at, finished_at=time.time(),
         store=getattr(args, "store", None),
@@ -1638,10 +1431,10 @@ def _run_observed(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("trace-summary", "cache", "obs"):
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    # Commands without the observability flags run unobserved.
+    if "trace" not in args:
+        return _dispatch(args)
     return _run_observed(args)
 
 

@@ -14,28 +14,11 @@ Two analyses explain why non-standard fingerprints recur across vendors:
 Both analyses now execute on :class:`repro.match.MatchEngine` (exact or
 sketch-accelerated, proven digest-identical); this module keeps the
 result types (:class:`ServerFingerprintTie`, :func:`similarity_bands`)
-and backwards-compatible free functions.  ``jaccard`` is deprecated —
-its non-deprecated home is :func:`repro.match.set_jaccard`.
+and the engine-backed free functions.  Set Jaccard itself is
+:func:`repro.match.set_jaccard`.
 """
 
-import warnings
 from dataclasses import dataclass
-
-
-def jaccard(set_a, set_b):
-    """Jaccard similarity of two sets (0 for two empty sets).  Deprecated.
-
-    Use :func:`repro.match.set_jaccard` (same contract, non-deprecated)
-    or :meth:`repro.match.FingerprintVector.jaccard` for the popcount
-    fast path; this shim delegates and will be removed in a future
-    release.
-    """
-    warnings.warn(
-        "repro.core.sharing.jaccard is deprecated; use "
-        "repro.match.set_jaccard (or FingerprintVector.jaccard)",
-        DeprecationWarning, stacklevel=2)
-    from repro.match.vector import set_jaccard
-    return set_jaccard(set_a, set_b)
 
 
 def vendor_similarity_pairs(dataset, threshold=0.2):

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+#: nothing listens on port 1, so a connection is refused at once.
+DEAD_URL = "http://127.0.0.1:1"
 
 
 class TestParser:
@@ -138,3 +142,134 @@ class TestMatchCommands:
         assert "engine: mode=sketch" in text
         assert "corpus:" in text
         assert "vendors:" in text
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A hand-built model file that loads, so later checks are reached."""
+    import numpy as np
+    from repro.ml import (AttributionModel, FeatureExtractor,
+                          LogisticOVR, MLParams, MultinomialNB)
+    extractor = FeatureExtractor(width=16, seed=3)
+    X = extractor.matrix([(0x0303, (1, 2), (0,)), (0x0301, (9,), (5,))])
+    y = np.array([0, 1])
+    model = AttributionModel(
+        params=MLParams(target="vendor", width=16, iters=5),
+        extractor=extractor, classes=("Acme", "Bolt"),
+        nb=MultinomialNB().fit(X, y, 2),
+        lr=LogisticOVR(iters=5).fit(X, y, 2),
+        artifact_digest="0" * 64, counts={"examples": 2})
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    model.save(path)
+    return path
+
+
+#: every exit-2 path as (command path, argv); ``{tmp}`` is the test's
+#: empty directory, ``{model}`` a loadable model file.
+USAGE_ERROR_CASES = [
+    pytest.param("report", ["report", "--trust-stores", "netscape"],
+                 id="report-trust-stores"),
+    pytest.param("verify check",
+                 ["verify", "check", "--trust-stores", "netscape"],
+                 id="verify-check-trust-stores"),
+    pytest.param("match stats",
+                 ["match", "stats", "--trust-stores", "netscape"],
+                 id="match-stats-trust-stores"),
+    pytest.param("ml predict",
+                 ["ml", "predict", "--model", "{model}",
+                  "--trust-stores", "netscape"],
+                 id="ml-predict-trust-stores"),
+    pytest.param("cache stats", ["cache", "stats"],
+                 id="cache-stats-no-dir"),
+    pytest.param("ml eval", ["ml", "eval", "--threshold", "2"],
+                 id="ml-eval-threshold"),
+    pytest.param("ml eval",
+                 ["ml", "eval", "--model", "{tmp}/missing.json"],
+                 id="ml-eval-missing-model"),
+    pytest.param("ml eval",
+                 ["ml", "eval", "--model", "{model}",
+                  "--input", "{tmp}/missing.jsonl"],
+                 id="ml-eval-missing-input"),
+    pytest.param("ml eval",
+                 ["ml", "eval", "--model", "{model}",
+                  "--input", "{tmp}/capture.txt"],
+                 id="ml-eval-input-not-jsonl"),
+    pytest.param("sweep run",
+                 ["sweep", "run", "--grid", "bogus", "--out", "{tmp}/o"],
+                 id="sweep-run-grid"),
+    pytest.param("sweep run",
+                 ["sweep", "run", "--store-url", DEAD_URL,
+                  "--out", "{tmp}/o"],
+                 id="sweep-run-store-url-without-http"),
+    pytest.param("sweep resume", ["sweep", "resume", "--out", "{tmp}"],
+                 id="sweep-resume-empty-out"),
+    pytest.param("sweep report", ["sweep", "report", "--out", "{tmp}"],
+                 id="sweep-report-empty-out"),
+    pytest.param("fabric serve",
+                 ["fabric", "serve", "--grid", "bogus", "--out", "{tmp}/o"],
+                 id="fabric-serve-grid"),
+    pytest.param("fabric worker", ["fabric", "worker", DEAD_URL],
+                 id="fabric-worker-dead-url"),
+    pytest.param("fabric status", ["fabric", "status", DEAD_URL],
+                 id="fabric-status-dead-url"),
+    pytest.param("trace-summary", ["trace-summary", "{tmp}/none.jsonl"],
+                 id="trace-summary-missing-file"),
+    pytest.param("report", ["report", "-o", "{tmp}/missing/report.md"],
+                 id="report-output-dir-missing"),
+    pytest.param("audit", ["audit", "NotAVendor"],
+                 id="audit-unknown-vendor"),
+    pytest.param("match query", ["match", "query", "no-such-id"],
+                 id="match-query-unknown-id"),
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("path, argv", USAGE_ERROR_CASES)
+    def test_one_line_exit_2(self, path, argv, tmp_path, tiny_model,
+                             study, monkeypatch, capsys):
+        monkeypatch.delenv(repro.cli.ENV_CACHE_DIR, raising=False)
+        (tmp_path / "capture.txt").write_text("not json\n",
+                                              encoding="utf-8")
+        argv = [arg.format(tmp=tmp_path, model=tiny_model)
+                for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{path}: ")
+
+    def test_other_exceptions_keep_their_traceback(self, tmp_path,
+                                                   monkeypatch):
+        def broken(args):
+            raise RuntimeError("a bug, not a usage error")
+
+        monkeypatch.setattr(repro.cli, "cmd_cache_stats", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["cache", "stats", "--cache-dir", str(tmp_path)])
+
+    def test_failed_command_still_writes_its_trace(self, tmp_path,
+                                                   capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["report", "--trust-stores", "netscape",
+                     "--trace", str(trace)]) == 2
+        events = [json.loads(line)
+                  for line in trace.read_text().splitlines()]
+        manifests = [e for e in events if e["type"] == "manifest"]
+        assert manifests[0]["manifest"]["command"] == "report"
+
+
+def test_serve_smoke_closes_listening_socket(study, monkeypatch, capsys):
+    import repro.ingest
+    servers = []
+    serve_study = repro.ingest.serve_study
+
+    def kept(*args, **kwargs):
+        server, service = serve_study(*args, **kwargs)
+        servers.append(server)
+        return server, service
+
+    monkeypatch.setattr(repro.ingest, "serve_study", kept)
+    monkeypatch.delenv(repro.cli.ENV_CACHE_DIR, raising=False)
+    assert main(["serve", "--smoke", "--port", "0",
+                 "--smoke-requests", "2"]) == 0
+    assert servers[0].socket.fileno() == -1

@@ -3,9 +3,8 @@
 Three contracts are pinned here:
 
 - the Jaccard contract (bounds, symmetry, identity, empty-set rules)
-  holds identically for the deprecated ``sharing.jaccard`` shim, the
-  non-deprecated ``set_jaccard``, and the popcount
-  ``FingerprintVector.jaccard``;
+  holds identically for the set reference ``set_jaccard`` and the
+  popcount ``FingerprintVector.jaccard``;
 - exactness: seeded fuzz proves sketch candidate generation is a
   *superset* of every pair at or above any positive threshold, and that
   ``SimilarityIndex.query``/``all_pairs`` return exactly what a
@@ -19,7 +18,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.core import matching, sharing
+from repro.core import sharing
 from repro.match import (CorpusIndex, FeatureSpace, FingerprintVector,
                          MatchEngine, MinHasher, SimilarityIndex,
                          SketchParams, active_mode, engine_mode,
@@ -85,11 +84,6 @@ class TestPopcountAndVector:
             va.jaccard(vb)
 
 
-def _shim_jaccard(a, b):
-    with pytest.warns(DeprecationWarning):
-        return sharing.jaccard(a, b)
-
-
 def _vector_jaccard(a, b):
     space = FeatureSpace()
     return FingerprintVector.from_tokens(a, space).jaccard(
@@ -99,7 +93,6 @@ def _vector_jaccard(a, b):
 #: every implementation bound to the one pinned Jaccard contract.
 JACCARD_IMPLS = [
     pytest.param(set_jaccard, id="set_jaccard"),
-    pytest.param(_shim_jaccard, id="sharing.jaccard"),
     pytest.param(_vector_jaccard, id="FingerprintVector"),
 ]
 
@@ -342,19 +335,6 @@ class TestModeRegistry:
 
 
 class TestDeprecations:
-    def test_sharing_jaccard_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning,
-                          match="repro.match.set_jaccard"):
-            value = sharing.jaccard({1, 2}, {2, 3})
-        assert value == set_jaccard({1, 2}, {2, 3})
-
-    def test_match_against_corpus_warns_and_delegates(self, dataset,
-                                                      corpus):
-        with pytest.warns(DeprecationWarning, match="MatchEngine"):
-            report = matching.match_against_corpus(dataset, corpus)
-        expected = shared_engine().match_report(dataset, corpus)
-        assert report.matched == expected.matched
-
     def test_non_deprecated_paths_warn_nothing(self, dataset, corpus,
                                                recwarn):
         sharing.vendor_similarity_pairs(dataset)
