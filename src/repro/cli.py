@@ -197,6 +197,20 @@ def _study_from_args(args):
     return get_study(config).attach_store(args.store)
 
 
+def _write_output(args, path, text, what=None):
+    """Write one output file, record it as a run artifact, say so."""
+    with obs.span("cli.write_output"):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    args.artifacts.append(path)
+    if what:
+        print(f"wrote {what} to {path}")
+
+
+def _json_text(payload, indent=2):
+    return json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+
+
 def cmd_generate(args):
     from repro.inspector.io import save_records
     dataset = _study_from_args(args).dataset
@@ -213,11 +227,8 @@ def cmd_probe(args):
     study = _study_from_args(args)
     certificates = study.certificates
     rows = certificates.to_json_rows(ct_logs=study.network.ct_logs)
-    with obs.span("cli.write_output"):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row) + "\n")
-    args.artifacts.append(args.output)
+    _write_output(args, args.output,
+                  "".join(json.dumps(row) + "\n" for row in rows))
     reachable = sum(1 for row in rows if row["reachable"])
     print(f"probed {len(rows)} SNIs ({reachable} reachable); "
           f"wrote {args.output}")
@@ -235,10 +246,7 @@ def cmd_report(args):
     if args.output == "-":
         print(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        args.artifacts.append(args.output)
-        print(f"wrote study report to {args.output}")
+        _write_output(args, args.output, text, "study report")
     return 0
 
 
@@ -342,47 +350,32 @@ def cmd_cache_clear(args):
 def _write_verify_report(args, payload):
     """Write a machine-readable verify report when --report was given."""
     if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        args.artifacts.append(args.report)
-        print(f"wrote verify report to {args.report}")
+        _write_output(args, args.report, _json_text(payload),
+                      "verify report")
 
 
 def cmd_serve(args):
-    import threading
+    from repro.http import base_url, serve_until_interrupt, serving
     from repro.ingest import run_load, serve_study
     from repro.inspector.timeline import days
     server, service = serve_study(
         _study_from_args(args), host=args.host, port=args.port,
         window_seconds=days(args.window_days), store=args.store)
-    host, port = server.server_address[:2]
-    print(f"serving study (seed {args.seed}) on http://{host}:{port} "
+    print(f"serving study (seed {args.seed}) on {base_url(server)} "
           f"— {service.ingester.records_ingested} records in "
           f"{service.ingester.stream.window_count} windows"
           f"{' (resumed from checkpoint)' if service.ingester.resumed else ''}")
     if args.smoke:
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            result = run_load(f"http://{host}:{port}",
-                              requests_per_worker=args.smoke_requests,
+        with serving(server) as url:
+            result = run_load(url, requests_per_worker=args.smoke_requests,
                               workers=2)
-        finally:
-            server.shutdown()
-            server.server_close()
         summary = result.to_json()
         print(f"smoke: {summary['requests']} requests, "
               f"{summary['errors']} errors, {summary['qps']} q/s, "
               f"p99 {summary['p99_ms']} ms")
         return 0 if summary["errors"] == 0 else 1
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.server_close()
+    serve_until_interrupt(server)
+    print("shutting down")
     return 0
 
 
@@ -402,10 +395,7 @@ def cmd_match_build_index(args):
         payload["fingerprint_ids"] = {
             fingerprint_id(fp): [int(fp[0]), list(fp[1]), list(fp[2])]
             for fp in sorted(study.dataset.fingerprints())}
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    args.artifacts.append(args.output)
+    _write_output(args, args.output, _json_text(payload))
     corpus_stats = payload["corpus"]
     print(f"built {args.mode} match index: "
           f"{corpus_stats['entries']} corpus entries → "
@@ -623,10 +613,18 @@ def cmd_ml_train(args):
 def _ml_eval_capture(args, model, threshold):
     """Eval on an external labeled capture (the ``--input`` JSONL)."""
     from repro.ml import evaluate_capture
+    rows = []
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
-            rows = [json.loads(line) for line in handle
-                    if line.strip()]
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise CommandError(
+                        f"{args.input}:{number}: expected a JSON "
+                        f"object, got {type(row).__name__}")
+                rows.append(row)
     except FileNotFoundError:
         raise CommandError(f"input file not found: {args.input}") \
             from None
@@ -654,11 +652,8 @@ def cmd_ml_eval(args):
                                  study.world, study.config,
                                  threshold=threshold)
         print(render_eval(payload))
-    with obs.span("cli.write_output"):
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(canonical_report_text(payload))
-    args.artifacts.append(args.report)
-    print(f"wrote canonical eval report to {args.report}")
+    _write_output(args, args.report, canonical_report_text(payload),
+                  "canonical eval report")
     return 0
 
 
@@ -672,13 +667,8 @@ def cmd_ml_predict(args):
                                     target=model.params.target)
     rows = model.predict_rows(list(unmatched), threshold=threshold)
     if args.output:
-        with obs.span("cli.write_output"):
-            with open(args.output, "w", encoding="utf-8") as handle:
-                json.dump({"rows": rows}, handle, indent=1,
-                          sort_keys=True)
-                handle.write("\n")
-        args.artifacts.append(args.output)
-        print(f"wrote {len(rows)} prediction rows to {args.output}")
+        _write_output(args, args.output, _json_text({"rows": rows}, 1),
+                      f"{len(rows)} prediction rows")
     for row in rows[:args.limit]:
         mark = "*" if row["attributed"] else " "
         print(f"{mark} {row['fingerprint']}  {row['label']:<16s} "
@@ -734,14 +724,8 @@ def _finish_sweep(args, result):
           f"{len(result.skipped)} (already completed), failed "
           f"{len(result.failed)}")
     print(report.render())
-    report_path = os.path.join(args.out, "sweep_report.json")
-    with obs.span("cli.write_output"):
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-    args.artifacts.append(report_path)
-    print(f"wrote sweep report to {report_path}")
+    _write_output(args, os.path.join(args.out, "sweep_report.json"),
+                  _json_text(report.to_json()), "sweep report")
     return 0 if (result.ok and report.ok) else 1
 
 
@@ -804,21 +788,17 @@ def cmd_sweep_report(args):
     report = SweepAggregator.from_index(_load_campaign(args)).report()
     print(report.render())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-        args.artifacts.append(args.json)
-        print(f"wrote sweep report to {args.json}")
+        _write_output(args, args.json, _json_text(report.to_json()),
+                      "sweep report")
     return 0 if report.ok else 1
 
 
 def cmd_fabric_serve(args):
-    import threading
     from repro.fabric import (DEFAULT_LEASE_SECONDS,
                               DEFAULT_MAX_ATTEMPTS, FabricCoordinator,
                               make_fabric_server)
-    from repro.store import ArtifactStore, CampaignIndex
+    from repro.http import base_url, serve_until_interrupt, serving
+    from repro.store import CampaignIndex
     index_path = os.path.join(args.out, "campaign.json")
     try:
         index = _load_campaign(args)
@@ -834,42 +814,25 @@ def cmd_fabric_serve(args):
             units[0].stage, cache_dir=_cache_root(args), store=spec)
         print(f"fabric serve: created campaign "
               f"{index.campaign_id[:12]} ({len(units)} units)")
-    blob_store = None
-    if spec and spec.get("backend") == "http" and not spec.get("url"):
-        blob_store = ArtifactStore(spec["dir"])
     coordinator = FabricCoordinator(
         index, store_spec=spec,
         lease_seconds=args.lease_seconds or DEFAULT_LEASE_SECONDS,
         max_attempts=args.max_attempts or DEFAULT_MAX_ATTEMPTS)
-    server, _ = make_fabric_server(coordinator, blob_store=blob_store,
-                                   host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}"
-    if blob_store is not None:
-        # The self-served spec resolves now that the port is known.
-        coordinator.store_spec = {"backend": "http", "url": url}
+    server, _ = make_fabric_server(coordinator, host=args.host,
+                                   port=args.port)
+    url = base_url(server)
     print(f"fabric coordinator on {url} — point workers at it with "
           f"`repro fabric worker {url}`")
     if args.until_done:
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
+        with serving(server):
             while not coordinator.done():
                 time.sleep(0.25)
-        finally:
-            server.shutdown()
-            server.server_close()
         completed = len(index.completed)
         print(f"fabric serve: campaign finished — {completed}/"
               f"{len(index.units)} units completed")
         return 0 if completed == len(index.units) else 1
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        server.server_close()
+    serve_until_interrupt(server)
+    print("shutting down")
     return 0
 
 
@@ -940,13 +903,12 @@ def cmd_obs_export(args):
         text = scrape(args.url, "/metrics?format=prom", as_text=True)
     else:
         payload = scrape(args.url, "/metrics")
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     if args.output == "-":
         print(text, end="")
-        return 0
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print(f"wrote {args.format} metrics snapshot to {args.output}")
+    else:
+        _write_output(args, args.output, text,
+                      f"{args.format} metrics snapshot")
     return 0
 
 
@@ -957,10 +919,7 @@ def cmd_obs_diff(args):
     report = diff_snapshots(before, after, tolerance=args.tolerance)
     print(render_diff(report))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote diff report to {args.json}")
+        _write_output(args, args.json, _json_text(report), "diff report")
     return 0 if report["ok"] else 1
 
 
@@ -1401,7 +1360,6 @@ def _run_observed(args):
     from repro.obs.summary import metric_table
     sink = obs.JsonlSink(args.trace) if args.trace else None
     ctx = obs.Observability(sink=sink)
-    args.artifacts = []
     started_at = time.time()
     previous = obs.activate(ctx)
     try:
@@ -1432,6 +1390,7 @@ def _run_observed(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.artifacts = []
     # Commands without the observability flags run unobserved.
     if "trace" not in args:
         return _dispatch(args)

@@ -28,6 +28,8 @@ late duplicates acknowledged but not re-recorded) keeping digests
 identical to the serial path.
 """
 
+from repro.http import HttpError
+
 #: how long a lease lives without a heartbeat.
 DEFAULT_LEASE_SECONDS = 30.0
 
@@ -43,13 +45,8 @@ LEASE_HOLD_BUCKETS_MS = (
 )
 
 
-class ProtocolError(Exception):
+class ProtocolError(HttpError):
     """A fabric protocol violation (status + one-line message)."""
-
-    def __init__(self, status, message):
-        super().__init__(message)
-        self.status = int(status)
-        self.message = message
 
 
 __all__ = ["DEFAULT_LEASE_SECONDS", "DEFAULT_MAX_ATTEMPTS",

@@ -3,8 +3,8 @@
 Mirrors the shape of :mod:`repro.ingest.server`: all routing and
 payload assembly live in :class:`FabricService.handle`, a pure
 ``(method, path, params, body) -> (status, payload)`` function that is
-unit-testable without a socket; :func:`make_fabric_server` wraps it in
-a ``ThreadingHTTPServer``.
+unit-testable without a socket; :func:`make_fabric_server` serves it
+through the shared :mod:`repro.http` shim.
 
 Surface:
 
@@ -14,7 +14,8 @@ Surface:
   reachability probe);
 - ``GET /fabric/status`` — the coordinator's queue/lease/ledger view;
 - ``GET /metrics[?format=json|prom]`` — the active :mod:`repro.obs`
-  registry, Prometheus exposition on request (the CI smoke job scrapes
+  registry, Prometheus exposition on request, by the same rules as
+  ``repro serve`` (:func:`repro.http.metrics`; the CI smoke job scrapes
   ``repro_fabric_*`` through this);
 - ``GET /blob/<key>`` / ``PUT /blob/<key>`` — the remote artifact
   store's raw ``.art`` blobs, validated server-side on upload
@@ -26,25 +27,13 @@ Boot activates an enabled observability context if none is active, so
 """
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from repro import obs
 from repro.fabric.protocol import ProtocolError
-from repro.obs.telemetry import render_prometheus
-
-#: maximum accepted request body (a pickled unit result or one blob).
-MAX_BODY_BYTES = 256 * 1024 * 1024
+from repro.http import Body, HttpError, base_url, make_server, metrics
 
 #: content keys are sha256 hex digests.
 _KEY_LENGTH = 64
-
-
-class RawBytes:
-    """A non-JSON response body (a raw ``.art`` blob)."""
-
-    def __init__(self, blob):
-        self.blob = blob
 
 
 def _is_key(text):
@@ -61,27 +50,40 @@ class FabricService:
 
     # -- routing --------------------------------------------------------------
 
-    def handle(self, method, path, params=None, body=None):
+    def handle(self, method, path, params=None, body=None, accept=None):
         """Answer one request; returns ``(status, payload)``.
 
-        ``payload`` is a JSON-serializable dict, or a :class:`RawBytes`
-        for blob downloads.  Protocol violations surface as their HTTP
-        status with a one-line ``{"error": ...}`` body.
+        ``payload`` is a JSON-serializable dict, or a
+        :class:`~repro.http.Body` for blob downloads and Prometheus
+        text.  Protocol violations surface as their HTTP status with a
+        one-line ``{"error": ...}`` body.
         """
         params = params or {}
         try:
             if path.startswith("/blob/"):
                 return self._blob(method, path[len("/blob/"):], body)
             if method == "GET":
-                return self._get(path, params)
+                return self._get(path, params, accept)
             if method == "POST":
                 return self._post(path, body)
             raise ProtocolError(405, f"method {method} not allowed")
-        except ProtocolError as exc:
+        except HttpError as exc:
             obs.incr("fabric.errors", key=str(exc.status))
-            return exc.status, {"error": exc.message}
+            return exc.status, self.error(exc.status, exc.message)
 
-    def _get(self, path, params):
+    # -- the repro.http app contract ------------------------------------------
+
+    methods = ("GET", "POST", "PUT")
+
+    def respond(self, method, path, params, body, headers):
+        return self.handle(method, path, params, body,
+                           accept=headers.get("Accept"))
+
+    @staticmethod
+    def error(status, message):
+        return {"error": message}
+
+    def _get(self, path, params, accept):
         if path == "/fabric/ping":
             return 200, {"ok": True,
                          "campaign_id": self.coordinator.index
@@ -89,7 +91,7 @@ class FabricService:
         if path == "/fabric/status":
             return 200, self.coordinator.status()
         if path == "/metrics":
-            return self._metrics(params)
+            return 200, metrics(params, accept)
         raise ProtocolError(404, f"unknown route {path!r}")
 
     def _post(self, path, body):
@@ -126,21 +128,6 @@ class FabricService:
             raise ProtocolError(400, "request needs a lease token")
         return token
 
-    # -- metrics --------------------------------------------------------------
-
-    @staticmethod
-    def _metrics(params):
-        fmt = (params.get("format") or ["json"])[-1]
-        if fmt not in ("json", "prom"):
-            raise ProtocolError(400, f"unknown metrics format {fmt!r} "
-                                     f"(expected json or prom)")
-        ctx = obs.current()
-        snapshot = ctx.metrics.snapshot() if ctx.enabled else {}
-        if fmt == "prom":
-            return 200, RawBytes(
-                render_prometheus(snapshot).encode("utf-8"))
-        return 200, {"enabled": ctx.enabled, "metrics": snapshot}
-
     # -- the blob store -------------------------------------------------------
 
     def _blob(self, method, rest, body):
@@ -157,7 +144,7 @@ class FabricService:
                 obs.incr("fabric.blob_misses")
                 return 404, {"error": f"no blob {rest}"}
             obs.incr("fabric.blob_reads")
-            return 200, RawBytes(raw)
+            return 200, Body(raw)
         if method == "PUT":
             if not self.blob_store.write_raw(rest, body or b""):
                 raise ProtocolError(
@@ -169,65 +156,29 @@ class FabricService:
                                  f"/blob/")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim over :meth:`FabricService.handle`."""
-
-    #: set by :func:`make_fabric_server`.
-    service = None
-    protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY: the headers and the body go out in separate sends,
-    #: and on a kept-alive connection Nagle's algorithm would hold the
-    #: body until the client's delayed ACK of the headers (~40 ms).
-    disable_nagle_algorithm = True
-
-    def _body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
-        return self.rfile.read(length) if length else b""
-
-    def _dispatch(self, method):
-        parsed = urlparse(self.path)
-        body = self._body()
-        if body is None:
-            status, payload = 413, {"error": "request body too large"}
-        else:
-            status, payload = self.service.handle(
-                method, parsed.path,
-                parse_qs(parsed.query, keep_blank_values=True), body)
-        if isinstance(payload, RawBytes):
-            data = payload.blob
-            content_type = "application/octet-stream"
-        else:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_GET(self):  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self):  # noqa: N802 (http.server API)
-        self._dispatch("POST")
-
-    def do_PUT(self):  # noqa: N802 (http.server API)
-        self._dispatch("PUT")
-
-    def log_message(self, format, *args):
-        """Suppress per-request stderr noise; obs counters cover it."""
-
-
 def make_fabric_server(coordinator, blob_store=None, host="127.0.0.1",
                        port=0):
-    """A ``ThreadingHTTPServer`` for one campaign (port 0: ephemeral).
+    """An HTTP server for one campaign (port 0: ephemeral).
 
-    Returns ``(server, service)``; the caller owns
-    ``server.serve_forever()`` / ``server.shutdown()``.
+    A campaign whose store spec is a self-served http store
+    (``backend: http`` with no ``url``) gets its blob store here: an
+    :class:`~repro.store.artifact.ArtifactStore` over the spec's
+    ``dir``, and the coordinator's spec resolves to this server's URL
+    once the port is bound.
+
+    Returns ``(server, service)``; the caller runs the server (see
+    :func:`repro.http.serving` / :func:`repro.http.serve_until_interrupt`).
     """
     obs.ensure_enabled()
+    spec = coordinator.store_spec or {}
+    self_served = blob_store is None and spec.get("backend") == "http" \
+        and not spec.get("url")
+    if self_served:
+        from repro.store.artifact import ArtifactStore
+        blob_store = ArtifactStore(spec["dir"])
     service = FabricService(coordinator, blob_store=blob_store)
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler), service
+    server = make_server(service, host=host, port=port)
+    if self_served:
+        coordinator.store_spec = {"backend": "http",
+                                  "url": base_url(server)}
+    return server, service

@@ -1,20 +1,22 @@
 """A stdlib load generator for the ``repro serve`` query API.
 
 Drives a warm server with a deterministic round-robin mix of the hot
-endpoints from ``workers`` threads (``urllib`` clients), recording
-per-request wall latencies.  The summary — sustained queries/sec plus
-p50/p99 latency — is what ``benchmarks/bench_serve.py`` folds into
-``BENCH_serve.json`` for the bench gate.
+endpoints from ``workers`` threads (:func:`repro.http.request`
+clients), recording per-request wall latencies.  The summary —
+sustained queries/sec plus p50/p99 latency — is what
+``benchmarks/bench_serve.py`` folds into ``BENCH_serve.json`` for the
+bench gate.
 
 No randomness: the request mix is a fixed rotation, so two runs against
 the same server issue the identical request sequence.
 """
 
 import json
-import threading
 import time
-from urllib.error import HTTPError
-from urllib.request import urlopen
+from concurrent.futures import ThreadPoolExecutor
+
+from repro.http import request
+from repro.obs.slo import percentile
 
 #: the hot-path request mix, rotated round-robin by every worker.
 DEFAULT_MIX = (
@@ -27,15 +29,6 @@ DEFAULT_MIX = (
 )
 
 
-def percentile(sorted_values, fraction):
-    """Nearest-rank percentile of an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1,
-               max(0, int(round(fraction * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
-
-
 class LoadResult:
     """Latency + throughput summary of one load run."""
 
@@ -44,22 +37,14 @@ class LoadResult:
         self.errors = errors
         self.duration_s = duration_s
 
-    @property
-    def requests(self):
-        return len(self.latencies_ms)
-
-    @property
-    def qps(self):
-        if self.duration_s <= 0:
-            return 0.0
-        return self.requests / self.duration_s
-
     def to_json(self):
+        requests = len(self.latencies_ms)
         return {
-            "requests": self.requests,
+            "requests": requests,
             "errors": self.errors,
             "duration_s": round(self.duration_s, 4),
-            "qps": round(self.qps, 2),
+            "qps": round(requests / self.duration_s, 2)
+            if self.duration_s > 0 else 0.0,
             "p50_ms": round(percentile(self.latencies_ms, 0.50), 3),
             "p99_ms": round(percentile(self.latencies_ms, 0.99), 3),
             "max_ms": round(self.latencies_ms[-1], 3)
@@ -67,24 +52,20 @@ class LoadResult:
         }
 
 
-def _worker(base_url, mix, offset, requests, latencies, errors, lock):
-    local_latencies = []
-    local_errors = 0
+def _worker(base_url, mix, offset, requests):
+    """One client thread's run: ``(latencies_ms, errors)``."""
+    latencies, errors = [], 0
     for i in range(requests):
         url = base_url + mix[(offset + i) % len(mix)]
         begin = time.perf_counter()
         try:
-            with urlopen(url, timeout=10) as response:
-                payload = json.loads(response.read())
-                if "data" not in payload:
-                    local_errors += 1
-        except (HTTPError, OSError, ValueError):
-            local_errors += 1
-        local_latencies.append(
-            (time.perf_counter() - begin) * 1000.0)
-    with lock:
-        latencies.extend(local_latencies)
-        errors.append(local_errors)
+            status, body = request(url)
+            if status != 200 or "data" not in json.loads(body):
+                errors += 1
+        except (OSError, ValueError):
+            errors += 1
+        latencies.append((time.perf_counter() - begin) * 1000.0)
+    return latencies, errors
 
 
 def run_load(base_url, requests_per_worker=50, workers=4,
@@ -95,20 +76,13 @@ def run_load(base_url, requests_per_worker=50, workers=4,
     Workers start at staggered offsets into the mix so concurrent
     requests exercise different endpoints.
     """
-    latencies, errors = [], []
-    lock = threading.Lock()
-    threads = [
-        threading.Thread(
-            target=_worker,
-            args=(base_url, tuple(mix), index, requests_per_worker,
-                  latencies, errors, lock),
-            daemon=True)
-        for index in range(workers)
-    ]
+    mix = tuple(mix)
     begin = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = list(pool.map(
+            lambda offset: _worker(base_url, mix, offset,
+                                   requests_per_worker),
+            range(workers)))
     duration = time.perf_counter() - begin
-    return LoadResult(latencies, sum(errors), duration)
+    return LoadResult([ms for latencies, _ in runs for ms in latencies],
+                      sum(errors for _, errors in runs), duration)

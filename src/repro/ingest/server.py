@@ -1,11 +1,11 @@
 """``repro serve`` — the warm HTTP/JSON query API over ingested state.
 
-A stdlib-only (``http.server``) threaded service answering the paper's
-hot queries from the incremental analyses' warm state — no pipeline run
-per request.  Routing and payload assembly live in
-:class:`QueryService.handle`, a pure ``(path, params) -> (status,
-payload)`` function, so every endpoint is unit-testable without a
-socket; :func:`make_server` wraps it in a ``ThreadingHTTPServer``.
+A threaded service answering the paper's hot queries from the
+incremental analyses' warm state — no pipeline run per request.
+Routing and payload assembly live in :class:`QueryService.handle`, a
+pure ``(path, params) -> (status, payload)`` function, so every
+endpoint is unit-testable without a socket; :func:`make_server` (the
+shared :mod:`repro.http` shim) serves it.
 
 Every response — success or error — is a versioned envelope::
 
@@ -13,6 +13,9 @@ Every response — success or error — is a versioned envelope::
      "data": {...}}                     # 200
     {"schema_version": 1, "api_version": "v1",
      "error": {"status": 404, "message": ...}}   # 4xx
+
+The service takes GET only; any other method is a 405 in the same
+error envelope (see :mod:`repro.http` for the shim's own answers).
 
 Endpoints:
 
@@ -41,14 +44,14 @@ deterministic; see :mod:`repro.obs.telemetry`.
 
 import json
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
 
 from repro import obs
 from repro.core.chains import validate_all
 from repro.core.issuers import leaf_issuer_org
+from repro.http import Body, HttpError, make_server, metrics, \
+    query_param
 from repro.inspector.timeline import PROBE_TIME
-from repro.obs.telemetry import ServiceTelemetry, render_prometheus
+from repro.obs.telemetry import ServiceTelemetry
 from repro.schema import versioned
 
 #: the query API version every ``/v1/...`` route speaks.
@@ -67,37 +70,27 @@ def error_envelope(status, message):
                       "error": {"status": status, "message": message}})
 
 
-class QueryError(Exception):
+class QueryError(HttpError):
     """An HTTP error response (status + message)."""
 
-    def __init__(self, status, message):
-        super().__init__(message)
-        self.status = status
-        self.message = message
+
+#: the non-JSON response body (the Prometheus exposition page).
+PlainText = Body
 
 
-class PlainText:
-    """A non-JSON response body (the Prometheus exposition page)."""
-
-    #: the content type Prometheus scrapers expect.
-    PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
-
-    def __init__(self, text, content_type=PROMETHEUS):
-        self.text = text
-        self.content_type = content_type
-
-
-def wants_prometheus(accept):
-    """Whether an ``Accept`` header asks for exposition text.
-
-    ``text/plain`` anywhere in the header wins unless JSON is also
-    explicitly listed (then the JSON default stands) — ``*/*`` alone
-    keeps the JSON default, so browsers and ``urllib`` see JSON and
-    ``curl -H 'Accept: text/plain'`` (a scraper) sees exposition text.
-    """
-    if not accept:
-        return False
-    return "text/plain" in accept and "application/json" not in accept
+def _limit(params):
+    """The ``limit`` query param as an int >= 0, or ``None``."""
+    limit = query_param(params, "limit")
+    if limit is None:
+        return None
+    try:
+        limit = int(limit)
+    except ValueError:
+        raise QueryError(400, f"limit must be an integer, "
+                              f"got {limit!r}") from None
+    if limit < 0:
+        raise QueryError(400, "limit must be >= 0")
+    return limit
 
 
 class QueryService:
@@ -167,7 +160,7 @@ class QueryService:
         """``path -> endpoint handler`` (the routable surface)."""
         return {
             "/healthz": self._healthz,
-            "/metrics": self._metrics,
+            "/metrics": metrics,
             "/v1/slo": self._slo,
             "/v1/debug/recent": self._debug_recent,
             "/v1/doc": self._doc,
@@ -187,9 +180,6 @@ class QueryService:
         header, used only for ``/metrics`` content negotiation.
         """
         params = params or {}
-        if path == "/metrics" and "format" not in params \
-                and wants_prometheus(accept):
-            params = dict(params, format=["prom"])
         handler = self.routes().get(path)
         if handler is None:
             obs.incr("serve.errors", key="404")
@@ -201,12 +191,13 @@ class QueryService:
                 raise QueryError(
                     400, f"unknown query parameter(s): "
                          f"{', '.join(unknown)}")
-            data = handler(params)
-        except QueryError as exc:
+            data = metrics(params, accept) if handler is metrics \
+                else handler(params)
+        except HttpError as exc:
             obs.incr("serve.errors", key=str(exc.status))
             return exc.status, error_envelope(exc.status, exc.message)
         obs.incr("serve.requests", key=path)
-        if isinstance(data, PlainText):
+        if isinstance(data, Body):
             return 200, data
         return 200, envelope(path, data)
 
@@ -228,25 +219,21 @@ class QueryService:
             # scanner cannot grow the metric namespace unboundedly.
             route = path if path in self.routes() else "unknown"
             self.telemetry.request_finished(route, status, started)
-        if isinstance(payload, PlainText):
-            return status, payload.text.encode("utf-8"), \
-                payload.content_type
+        if isinstance(payload, Body):
+            return status, payload.blob, payload.content_type
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         return status, body, "application/json"
 
-    @staticmethod
-    def _param(params, name):
-        """The single value of query param ``name``, or ``None``.
+    # -- the repro.http app contract ------------------------------------------
 
-        Empty and repeated values are malformed (400).
-        """
-        if name not in params:
-            return None
-        values = [value for value in params[name] if value]
-        if len(values) != 1:
-            raise QueryError(400, f"parameter {name!r} needs exactly "
-                                  f"one non-empty value")
-        return values[0]
+    methods = ("GET",)
+
+    def respond(self, method, path, params, body, headers):
+        status, data, content_type = self.handle_request(
+            path, params, accept=headers.get("Accept"))
+        return status, Body(data, content_type)
+
+    error = staticmethod(error_envelope)
 
     # -- endpoints ------------------------------------------------------------
 
@@ -262,18 +249,6 @@ class QueryService:
         return status
     _healthz.params = ()
 
-    def _metrics(self, params):
-        fmt = self._param(params, "format") or "json"
-        if fmt not in ("json", "prom"):
-            raise QueryError(400, f"unknown metrics format {fmt!r} "
-                                  f"(expected json or prom)")
-        ctx = obs.current()
-        snapshot = ctx.metrics.snapshot() if ctx.enabled else {}
-        if fmt == "prom":
-            return PlainText(render_prometheus(snapshot))
-        return {"enabled": ctx.enabled, "metrics": snapshot}
-    _metrics.params = ("format",)
-
     def _slo(self, params):
         self.telemetry.update_ingest(self.ingester)
         return self.telemetry.slo.evaluate()
@@ -281,16 +256,9 @@ class QueryService:
 
     def _debug_recent(self, params):
         recorder = self.telemetry.recorder
-        limit = self._param(params, "limit")
+        limit = _limit(params)
         events = recorder.snapshot()
         if limit is not None:
-            try:
-                limit = int(limit)
-            except ValueError:
-                raise QueryError(400, f"limit must be an integer, "
-                                      f"got {limit!r}") from None
-            if limit < 0:
-                raise QueryError(400, "limit must be >= 0")
             events = events[-limit:] if limit else []
         return {"capacity": recorder.capacity,
                 "events_seen": recorder.events_seen,
@@ -299,7 +267,7 @@ class QueryService:
 
     def _doc(self, params):
         snapshot = self.snapshots["doc"]
-        vendor = self._param(params, "vendor")
+        vendor = query_param(params, "vendor")
         if vendor is None:
             return snapshot
         if vendor not in snapshot["doc_vendor"]:
@@ -311,23 +279,16 @@ class QueryService:
 
     def _fingerprints(self, params):
         snapshot = self.snapshots["fingerprint_index"]
-        fp_id = self._param(params, "id")
+        fp_id = query_param(params, "id")
         if fp_id is not None:
             entry = snapshot["fingerprints"].get(fp_id)
             if entry is None:
                 raise QueryError(404,
                                  f"unknown fingerprint id {fp_id!r}")
             return entry
-        limit = self._param(params, "limit")
+        limit = _limit(params)
         ids = sorted(snapshot["fingerprints"])
         if limit is not None:
-            try:
-                limit = int(limit)
-            except ValueError:
-                raise QueryError(400, f"limit must be an integer, "
-                                      f"got {limit!r}") from None
-            if limit < 0:
-                raise QueryError(400, "limit must be >= 0")
             ids = ids[:limit]
         return {"fingerprint_count": snapshot["fingerprint_count"],
                 "ids": ids}
@@ -339,7 +300,7 @@ class QueryService:
 
     def _issuers(self, params):
         snapshot = self.snapshots["issuer_shares"]
-        vendor = self._param(params, "vendor")
+        vendor = query_param(params, "vendor")
         if vendor is None:
             return snapshot
         column = snapshot["matrix"].get(vendor)
@@ -352,7 +313,7 @@ class QueryService:
     _issuers.params = ("vendor",)
 
     def _verdicts_route(self, params):
-        sni = self._param(params, "sni")
+        sni = query_param(params, "sni")
         if sni is None:
             counts = {}
             for verdict in self.verdicts.values():
@@ -367,45 +328,12 @@ class QueryService:
     _verdicts_route.params = ("sni",)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP shim over :meth:`QueryService.handle`."""
-
-    #: set by :func:`make_server`.
-    service = None
-    protocol_version = "HTTP/1.1"
-    #: TCP_NODELAY: the headers and the body go out in separate sends,
-    #: and on a kept-alive connection Nagle's algorithm would hold the
-    #: body until the client's delayed ACK of the headers (~40 ms).
-    disable_nagle_algorithm = True
-
-    def do_GET(self):  # noqa: N802 (http.server API)
-        parsed = urlparse(self.path)
-        status, body, content_type = self.service.handle_request(
-            parsed.path,
-            parse_qs(parsed.query, keep_blank_values=True),
-            accept=self.headers.get("Accept"))
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):
-        """Suppress per-request stderr noise; obs counters cover it."""
-
-
-def make_server(service, host="127.0.0.1", port=0):
-    """A ``ThreadingHTTPServer`` bound to ``service`` (port 0: ephemeral)."""
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
-
-
 def serve_study(study, host="127.0.0.1", port=0, window_seconds=None,
                 store=None, compact_every=4, clock=time.perf_counter):
     """Warm a query service over ``study`` and bind an HTTP server.
 
-    Returns ``(server, service)``; the caller owns
-    ``server.serve_forever()`` / ``server.shutdown()``.
+    Returns ``(server, service)``; the caller runs the server (see
+    :func:`repro.http.serving` / :func:`repro.http.serve_until_interrupt`).
 
     Boot activates an enabled observability context if none is active,
     so ``/metrics`` always has a live registry behind it — a server

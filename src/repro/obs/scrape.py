@@ -18,9 +18,8 @@ Everything here returns data or strings — printing belongs to the CLI.
 """
 
 import json
-import urllib.error
-import urllib.request
 
+from repro.http import request
 from repro.obs.metrics import flatten_snapshot
 from repro.obs.telemetry import _le_bound
 
@@ -47,13 +46,11 @@ def scrape(base_url, path, timeout=10, as_text=False):
     """
     url = base_url.rstrip("/") + path
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            body = response.read()
-    except urllib.error.HTTPError as exc:
-        raise ScrapeError(f"{url}: HTTP {exc.code}") from None
+        status, body = request(url, timeout=timeout)
     except OSError as exc:
-        reason = getattr(exc, "reason", None) or exc
-        raise ScrapeError(f"{url}: {reason}") from None
+        raise ScrapeError(f"{url}: {exc}") from None
+    if status != 200:
+        raise ScrapeError(f"{url}: HTTP {status}")
     if as_text:
         return body.decode("utf-8")
     try:

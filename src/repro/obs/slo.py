@@ -31,7 +31,7 @@ STATES = ("ok", "degraded", "failing")
 KINDS = ("p50", "p99", "mean", "max", "rate")
 
 
-def _percentile(sorted_values, fraction):
+def percentile(sorted_values, fraction):
     """Nearest-rank percentile of an already-sorted list."""
     if not sorted_values:
         return 0.0
@@ -46,7 +46,7 @@ def _aggregate(kind, values):
     if kind == "max":
         return max(values)
     ordered = sorted(values)
-    return _percentile(ordered, 0.50 if kind == "p50" else 0.99)
+    return percentile(ordered, 0.50 if kind == "p50" else 0.99)
 
 
 @dataclass(frozen=True)

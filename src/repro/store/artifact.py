@@ -148,12 +148,20 @@ def blob_key_of(raw):
                        header["version"])
 
 
-class ArtifactStore:
-    """A persistent content-addressed cache of study artifacts."""
+class BaseStore:
+    """The get/put discipline every store backend shares.
 
-    def __init__(self, root, version=None):
+    Backends differ only in where blobs live; they supply three hooks:
+    ``_load(key, stage)`` (the raw blob, or ``None``), ``_save(key,
+    blob)`` (where it landed, or ``None``) and ``_drop(key)`` (forget a
+    blob that failed verification), and may override ``_admit(key,
+    blob)`` (a loaded blob passed verification).  Everything else —
+    keying, the integrity checks, counters, spans and provenance — is
+    here once.
+    """
+
+    def __init__(self, version=None):
         from repro import __version__
-        self.root = Path(root)
         self.version = __version__ if version is None else str(version)
         self._lock = threading.Lock()
         #: per-run cache traffic, by stage name (for provenance).
@@ -168,43 +176,36 @@ class ArtifactStore:
         """The content key of ``(config, stage)`` under this version."""
         return content_key(config.artifact_digest(), stage, self.version)
 
-    def path_for(self, config, stage):
-        return self.blob_path(self.key(config, stage))
-
-    def blob_path(self, key):
-        """Where the raw ``.art`` blob for ``key`` lives under this root."""
-        return self.root / key[:2] / f"{key}{_SUFFIX}"
-
     # -- read -----------------------------------------------------------------
 
     def get(self, config, stage):
         """The cached artifact for ``(config, stage)``, or :data:`MISS`.
 
-        Any defect — absent entry, unreadable file, header mismatch,
+        Any defect — absent entry, unreadable blob, header mismatch,
         checksum failure, unpicklable payload — is a miss; defective
-        entries are deleted so they are rebuilt cleanly.
+        blobs are dropped so they are rebuilt cleanly.
         """
-        path = self.path_for(config, stage)
+        key = self.key(config, stage)
         with obs.span("store.get") as span:
-            try:
-                raw = path.read_bytes()
-            except OSError:
+            raw = self._load(key, stage)
+            if raw is None:
                 return self._miss(stage)
-            value = self._decode(raw, config, stage)
+            value = decode_entry(raw, {"artifact": config.artifact_digest(),
+                                       "stage": stage,
+                                       "version": self.version})
             if value is MISS:
-                self._discard(path)
+                self._drop(key)
                 obs.incr("store.corrupt", key=stage)
                 return self._miss(stage)
             span.incr("bytes", len(raw))
+            self._admit(key, raw)
         with self._lock:
             self.hit_stages.append(stage)
         obs.incr("store.hits", key=stage)
         return value
 
-    def _decode(self, raw, config, stage):
-        return decode_entry(raw, {"artifact": config.artifact_digest(),
-                                  "stage": stage,
-                                  "version": self.version})
+    def _admit(self, key, blob):
+        pass
 
     def _miss(self, stage):
         with self._lock:
@@ -212,44 +213,89 @@ class ArtifactStore:
         obs.incr("store.misses", key=stage)
         return MISS
 
-    @staticmethod
-    def _discard(path):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
     # -- write ----------------------------------------------------------------
 
     def put(self, config, stage, value):
-        """Cache ``value`` for ``(config, stage)``; returns its path.
+        """Cache ``value`` for ``(config, stage)``; returns where it landed.
 
-        Caching is best-effort: an unpicklable value (or an unwritable
-        cache directory) is counted and skipped, never fatal — the
-        pipeline's correctness must not depend on the cache.
+        Caching is best-effort: an unpicklable value or a failed write
+        is counted and skipped (``None``), never fatal — the pipeline's
+        correctness must not depend on the cache.
         """
         with obs.span("store.put") as span:
             try:
                 payload = pickle.dumps(value,
                                        protocol=pickle.HIGHEST_PROTOCOL)
             except Exception:
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
+                return self._error(stage)
             blob = encode_entry(config.artifact_digest(), stage,
                                 self.version, payload)
-            path = self.path_for(config, stage)
-            if not self._write_blob(path, blob):
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
+            where = self._save(self.key(config, stage), blob)
+            if where is None:
+                return self._error(stage)
             span.incr("bytes", len(blob))
         with self._lock:
             self.written_stages.append(stage)
         obs.incr("store.writes", key=stage)
-        return path
+        return where
+
+    def _error(self, stage):
+        with self._lock:
+            self.error_stages.append(stage)
+        obs.incr("store.errors", key=stage)
+
+    def get_or_compute(self, config, stage, compute):
+        """``get``, falling back to ``compute()`` + ``put`` on a miss."""
+        value = self.get(config, stage)
+        if value is MISS:
+            value = compute()
+            self.put(config, stage, value)
+        return value
+
+    def provenance(self):
+        """This run's cache traffic, for the run manifest."""
+        with self._lock:
+            return {
+                "version": self.version,
+                "hits": sorted(self.hit_stages),
+                "misses": sorted(self.miss_stages),
+                "writes": sorted(self.written_stages),
+                "errors": sorted(self.error_stages),
+            }
+
+
+class ArtifactStore(BaseStore):
+    """A persistent content-addressed cache of study artifacts."""
+
+    def __init__(self, root, version=None):
+        super().__init__(version)
+        self.root = Path(root)
+
+    def path_for(self, config, stage):
+        return self.blob_path(self.key(config, stage))
+
+    def blob_path(self, key):
+        """Where the raw ``.art`` blob for ``key`` lives under this root."""
+        return self.root / key[:2] / f"{key}{_SUFFIX}"
+
+    # -- the blob hooks -------------------------------------------------------
+
+    def _load(self, key, stage):
+        return self.read_raw(key)
+
+    def _save(self, key, blob):
+        path = self.blob_path(key)
+        return path if self._write_blob(path, blob) else None
+
+    def _drop(self, key):
+        self._discard(self.blob_path(key))
+
+    @staticmethod
+    def _discard(path):
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     @staticmethod
     def _write_blob(path, blob):
@@ -285,14 +331,6 @@ class ArtifactStore:
         if blob_key_of(raw) != key:
             return False
         return self._write_blob(self.blob_path(key), raw)
-
-    def get_or_compute(self, config, stage, compute):
-        """``get``, falling back to ``compute()`` + ``put`` on a miss."""
-        value = self.get(config, stage)
-        if value is MISS:
-            value = compute()
-            self.put(config, stage, value)
-        return value
 
     # -- inspection / maintenance ---------------------------------------------
 
@@ -351,13 +389,4 @@ class ArtifactStore:
         return removed
 
     def provenance(self):
-        """This run's cache traffic, for the run manifest."""
-        with self._lock:
-            return {
-                "dir": str(self.root),
-                "version": self.version,
-                "hits": sorted(self.hit_stages),
-                "misses": sorted(self.miss_stages),
-                "writes": sorted(self.written_stages),
-                "errors": sorted(self.error_stages),
-            }
+        return dict(super().provenance(), dir=str(self.root))

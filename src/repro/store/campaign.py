@@ -35,6 +35,10 @@ from pathlib import Path
 #: current index file schema version.
 CAMPAIGN_FORMAT = 1
 
+#: the ledger fields every reader relies on, with their JSON types.
+_LEDGER_FIELDS = (("campaign_id", str), ("units", list),
+                  ("completed", dict), ("failed", dict))
+
 
 def campaign_id_for(unit_keys, version):
     """Content id of a campaign: every unit key plus the code version."""
@@ -96,11 +100,19 @@ class CampaignIndex:
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"campaign index {path} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(f"campaign index {path} is not a JSON "
+                             f"object")
         if payload.get("format") != CAMPAIGN_FORMAT:
             raise ValueError(
                 f"campaign index {path} has format "
                 f"{payload.get('format')!r}; this build reads format "
                 f"{CAMPAIGN_FORMAT}")
+        malformed = [field for field, kind in _LEDGER_FIELDS
+                     if not isinstance(payload.get(field), kind)]
+        if malformed:
+            raise ValueError(f"campaign index {path} lacks a valid "
+                             f"{', '.join(malformed)}")
         return cls(path, payload)
 
     # -- persistence ----------------------------------------------------------

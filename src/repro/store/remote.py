@@ -11,8 +11,9 @@ over a two-verb HTTP interface and workers talk to it through
   content key from the blob's own header and rejects any mismatch, so
   a client can never plant bytes under a key it does not own.
 
-The client mirrors the local store's surface (``key``/``get``/``put``/
-``get_or_compute``/``provenance``) and — crucially — its failure
+The client is the local store's :class:`~repro.store.artifact.BaseStore`
+over an HTTP blob transport, so it shares its surface (``key``/``get``/
+``put``/``get_or_compute``/``provenance``) and — crucially — its failure
 discipline: **every defect degrades to a retriable miss, never to wrong
 bytes.**  A truncated response, a checksum mismatch, a version-skewed
 header, an HTTP 5xx, or an unreachable server all count a miss (with a
@@ -26,15 +27,12 @@ determine eviction order, and only blobs that already passed the
 integrity checks are admitted.
 """
 
-import pickle
 import threading
-import urllib.error
-import urllib.request
 from collections import OrderedDict
 
 from repro import obs
-from repro.store.artifact import MISS, content_key, decode_entry, \
-    encode_entry
+from repro.http import request
+from repro.store.artifact import BaseStore
 
 #: default number of verified blobs the client-side LRU holds.
 DEFAULT_CACHE_ENTRIES = 64
@@ -89,7 +87,7 @@ class BlobCache:
             return len(self._entries)
 
 
-class RemoteArtifactStore:
+class RemoteArtifactStore(BaseStore):
     """The HTTP artifact-store client (drop-in for ``ArtifactStore``).
 
     Speaks the same ``.art`` wire format as the local store — the same
@@ -100,172 +98,71 @@ class RemoteArtifactStore:
 
     def __init__(self, base_url, version=None,
                  cache_entries=DEFAULT_CACHE_ENTRIES, timeout=10.0):
-        from repro import __version__
+        super().__init__(version)
         self.base_url = str(base_url).rstrip("/")
-        self.version = __version__ if version is None else str(version)
         self.timeout = timeout
         self.cache = BlobCache(cache_entries)
-        self._lock = threading.Lock()
-        #: per-run cache traffic, by stage name (for provenance).
-        self.hit_stages = []
-        self.miss_stages = []
-        self.written_stages = []
-        self.error_stages = []
-
-    # -- keying ---------------------------------------------------------------
-
-    def key(self, config, stage):
-        """The content key of ``(config, stage)`` under this version."""
-        return content_key(config.artifact_digest(), stage, self.version)
-
-    def _expected(self, config, stage):
-        return {"artifact": config.artifact_digest(), "stage": stage,
-                "version": self.version}
 
     def _url(self, key):
         return f"{self.base_url}/blob/{key}"
 
-    # -- transport ------------------------------------------------------------
+    # -- the blob hooks: LRU first, network second ----------------------------
 
-    def _fetch(self, key, stage):
-        """GET one blob; ``None`` on any failure (404, 5xx, transport)."""
+    def _load(self, key, stage):
+        """The blob from the LRU or a GET; ``None`` on any failure."""
+        blob = self.cache.get(key)
+        if blob is not None:
+            obs.incr("store.lru_hits", key=stage)
+            return blob
         try:
-            with urllib.request.urlopen(self._url(key),
-                                        timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            if exc.code != 404:
-                obs.incr("store.remote_errors", key=f"get:{exc.code}")
-            return None
+            status, blob = request(self._url(key), timeout=self.timeout)
         except OSError:
             obs.incr("store.remote_errors", key="get:unreachable")
             return None
+        if status == 200:
+            return blob
+        if status != 404:
+            obs.incr("store.remote_errors", key=f"get:{status}")
+        return None
 
-    def _upload(self, key, blob):
-        """PUT one blob; ``True`` iff the server accepted it."""
-        request = urllib.request.Request(
-            self._url(key), data=blob, method="PUT",
-            headers={"Content-Type": "application/octet-stream"})
+    def _save(self, key, blob):
+        """PUT one blob; its key iff the server accepted it."""
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return 200 <= response.status < 300
-        except urllib.error.HTTPError as exc:
-            obs.incr("store.remote_errors", key=f"put:{exc.code}")
-            return False
+            status, _ = request(self._url(key), "PUT", blob,
+                                "application/octet-stream",
+                                timeout=self.timeout)
         except OSError:
             obs.incr("store.remote_errors", key="put:unreachable")
-            return False
+            return None
+        if status != 200:
+            obs.incr("store.remote_errors", key=f"put:{status}")
+            return None
+        self.cache.put(key, blob)
+        return key
+
+    def _admit(self, key, blob):
+        self.cache.put(key, blob)
+
+    def _drop(self, key):
+        self.cache.discard(key)
 
     def ping(self):
         """Probe the endpoint; raises :class:`StoreUnreachable` if dead."""
-        url = f"{self.base_url}/fabric/ping"
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout):
-                return True
-        except urllib.error.HTTPError as exc:
-            raise StoreUnreachable(
-                f"store backend {self.base_url} answered "
-                f"HTTP {exc.code} to a ping") from None
+            status, _ = request(f"{self.base_url}/fabric/ping",
+                                timeout=self.timeout)
         except OSError as exc:
-            reason = getattr(exc, "reason", None) or exc
             raise StoreUnreachable(
                 f"store backend {self.base_url} is unreachable: "
-                f"{reason}") from None
-
-    # -- the store surface ----------------------------------------------------
-
-    def get(self, config, stage):
-        """The cached artifact for ``(config, stage)``, or :data:`MISS`.
-
-        LRU first, network second; every defect along the way — missing
-        blob, truncated body, checksum or header mismatch, server error,
-        dead server — is a retriable miss and is never cached.
-        """
-        key = self.key(config, stage)
-        expected = self._expected(config, stage)
-        with obs.span("store.get") as span:
-            blob = self.cache.get(key)
-            if blob is not None:
-                value = decode_entry(blob, expected)
-                if value is not MISS:
-                    obs.incr("store.lru_hits", key=stage)
-                    return self._record_hit(stage, value)
-                self.cache.discard(key)
-            blob = self._fetch(key, stage)
-            if blob is None:
-                return self._miss(stage)
-            value = decode_entry(blob, expected)
-            if value is MISS:
-                obs.incr("store.corrupt", key=stage)
-                return self._miss(stage)
-            span.incr("bytes", len(blob))
-            self.cache.put(key, blob)
-        return self._record_hit(stage, value)
-
-    def _record_hit(self, stage, value):
-        with self._lock:
-            self.hit_stages.append(stage)
-        obs.incr("store.hits", key=stage)
-        return value
-
-    def _miss(self, stage):
-        with self._lock:
-            self.miss_stages.append(stage)
-        obs.incr("store.misses", key=stage)
-        return MISS
-
-    def put(self, config, stage, value):
-        """Cache ``value`` remotely; returns the content key, or ``None``.
-
-        Best-effort like the local store: an unpicklable value, a
-        rejected upload, or a dead server is counted and skipped, never
-        fatal — and a failed upload is *not* admitted to the local LRU,
-        so a later ``get`` retries the network instead of serving a
-        value the rest of the cluster never saw.
-        """
-        with obs.span("store.put") as span:
-            try:
-                payload = pickle.dumps(value,
-                                       protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
-            blob = encode_entry(config.artifact_digest(), stage,
-                                self.version, payload)
-            key = self.key(config, stage)
-            if not self._upload(key, blob):
-                with self._lock:
-                    self.error_stages.append(stage)
-                obs.incr("store.errors", key=stage)
-                return None
-            span.incr("bytes", len(blob))
-            self.cache.put(key, blob)
-        with self._lock:
-            self.written_stages.append(stage)
-        obs.incr("store.writes", key=stage)
-        return key
-
-    def get_or_compute(self, config, stage, compute):
-        """``get``, falling back to ``compute()`` + ``put`` on a miss."""
-        value = self.get(config, stage)
-        if value is MISS:
-            value = compute()
-            self.put(config, stage, value)
-        return value
+                f"{exc}") from None
+        if status != 200:
+            raise StoreUnreachable(
+                f"store backend {self.base_url} answered "
+                f"HTTP {status} to a ping")
+        return True
 
     def provenance(self):
         """This run's cache traffic, for the run manifest."""
-        with self._lock:
-            return {
-                "url": self.base_url,
-                "version": self.version,
-                "hits": sorted(self.hit_stages),
-                "misses": sorted(self.miss_stages),
-                "writes": sorted(self.written_stages),
-                "errors": sorted(self.error_stages),
-                "lru_entries": len(self.cache),
-                "lru_evicted": len(self.cache.evicted),
-            }
+        return dict(super().provenance(), url=self.base_url,
+                    lru_entries=len(self.cache),
+                    lru_evicted=len(self.cache.evicted))

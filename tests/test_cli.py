@@ -194,6 +194,10 @@ USAGE_ERROR_CASES = [
                  ["ml", "eval", "--model", "{model}",
                   "--input", "{tmp}/capture.txt"],
                  id="ml-eval-input-not-jsonl"),
+    pytest.param("ml eval",
+                 ["ml", "eval", "--model", "{model}",
+                  "--input", "{tmp}/rows.jsonl"],
+                 id="ml-eval-input-row-not-object"),
     pytest.param("sweep run",
                  ["sweep", "run", "--grid", "bogus", "--out", "{tmp}/o"],
                  id="sweep-run-grid"),
@@ -205,6 +209,9 @@ USAGE_ERROR_CASES = [
                  id="sweep-resume-empty-out"),
     pytest.param("sweep report", ["sweep", "report", "--out", "{tmp}"],
                  id="sweep-report-empty-out"),
+    pytest.param("sweep report",
+                 ["sweep", "report", "--out", "{tmp}/ledger"],
+                 id="sweep-report-ledger-without-fields"),
     pytest.param("fabric serve",
                  ["fabric", "serve", "--grid", "bogus", "--out", "{tmp}/o"],
                  id="fabric-serve-grid"),
@@ -230,6 +237,12 @@ class TestUsageErrors:
         monkeypatch.delenv(repro.cli.ENV_CACHE_DIR, raising=False)
         (tmp_path / "capture.txt").write_text("not json\n",
                                               encoding="utf-8")
+        (tmp_path / "rows.jsonl").write_text(
+            '{"vendor": "Acme", "tls_version": 771, "ciphersuites": [1], '
+            '"extensions": [0]}\n[1, 2]\n', encoding="utf-8")
+        (tmp_path / "ledger").mkdir()
+        (tmp_path / "ledger" / "campaign.json").write_text(
+            '{"format": 1}', encoding="utf-8")
         argv = [arg.format(tmp=tmp_path, model=tiny_model)
                 for arg in argv]
         assert main(argv) == 2

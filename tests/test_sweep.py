@@ -155,6 +155,17 @@ class TestCampaignIndex:
         with pytest.raises(ValueError, match="format"):
             CampaignIndex.load(foreign)
 
+    def test_load_rejects_a_ledger_without_its_fields(self, tmp_path):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            CampaignIndex.load(listed)
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"format": CAMPAIGN_FORMAT,
+                                    "campaign_id": "c", "units": {}}))
+        with pytest.raises(ValueError, match="units, completed, failed"):
+            CampaignIndex.load(bare)
+
     def test_campaign_id_orders_and_versions(self):
         assert campaign_id_for(["a", "b"], "1") == \
             campaign_id_for(["b", "a"], "1")
